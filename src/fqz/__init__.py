@@ -14,7 +14,6 @@ from .circuit import (
     Verdict,
     deutsch,
     deutsch_circuit,
-    deutsch_seq_equivalence_check,
     oracle_unitary,
     run_circuit,
     run_shots,
@@ -46,7 +45,6 @@ __all__ = [
     "compile_program",
     "deutsch",
     "deutsch_circuit",
-    "deutsch_seq_equivalence_check",
     "hadamard",
     "identity_gate",
     "mapping_to_matrix",

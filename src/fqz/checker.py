@@ -10,7 +10,8 @@ never an exception. The ids are part of the output contract:
     GATE-U    gate matrix is unitary both ways round
     GATE-M    gate matrix agrees with its basis-mapping definition
     GATE-INJ  distinct mapping inputs go to distinct states
-    PROG-SCOPE  program declares every name before use, exactly once
+    PROG-SCOPE  program compiles: circuit.validate_circuit accepts its
+                names, kets, gates, angles and register size
     PROG-NORM   simulating the program preserves unit norm after every
                 instruction
 
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lang
-from .circuit import iter_steps
-from .gates import Gate, MappingError, mapping_to_matrix
+from .circuit import Alloc, iter_steps
+from .gates import Gate, MappingError, colliding_inputs, mapping_to_matrix
 from .linalg import (
     DEFAULT_TOL,
     approx_equal,
@@ -134,33 +135,31 @@ def check_gate(g: Gate, tol: float = DEFAULT_TOL) -> CheckReport:
         detail = str(exc)
     checks.append(CheckResult("GATE-M", f"{g.name} matrix matches its mapping", consistent, detail))
 
-    injective = True
-    detail = "all mapping outputs distinct"
-    outputs = [expr.vector(g.mapping.arity) for _, expr in g.mapping.pairs]
-    for i in range(len(outputs)):
-        for j in range(i + 1, len(outputs)):
-            if float(np.abs(outputs[i] - outputs[j]).max()) <= tol:
-                injective = False
-                a, b = g.mapping.pairs[i][0], g.mapping.pairs[j][0]
-                detail = f"inputs |{a}> and |{b}> map to the same state"
-    checks.append(CheckResult("GATE-INJ", f"mapping of {g.name} is injective", injective, detail))
+    collision = colliding_inputs(g.mapping, tol)
+    if collision is None:
+        detail = "all mapping outputs distinct"
+    else:
+        detail = f"inputs |{collision[0]}> and |{collision[1]}> map to the same state"
+    checks.append(CheckResult("GATE-INJ", f"mapping of {g.name} is injective", collision is None, detail))
     return CheckReport(g.name, tuple(checks))
 
 
 def check_program(program: lang.Program, tol: float = DEFAULT_TOL, subject: str = "program") -> CheckReport:
-    checks = []
-
-    scope_ok, scope_detail = _scope_check(program)
-    checks.append(CheckResult("PROG-SCOPE", "names declared before use", scope_ok, scope_detail))
-
-    if not scope_ok:
-        checks.append(
-            CheckResult("PROG-NORM", "unit norm after every instruction", False, "skipped: scoping failed")
-        )
-        return CheckReport(subject, tuple(checks))
-
     try:
         circuit, oracles = lang.compile_program(program)
+    except lang.CompileError as exc:
+        return CheckReport(
+            subject,
+            (
+                CheckResult("PROG-SCOPE", "names declared before use", False, str(exc)),
+                CheckResult("PROG-NORM", "unit norm after every instruction", False, "skipped: scoping failed"),
+            ),
+        )
+    qubits = sum(isinstance(ins, Alloc) for ins in circuit.instructions)
+    scope_detail = f"{qubits} qubit(s), {len(oracles)} oracle(s), {len(circuit)} statement(s)"
+    checks = [CheckResult("PROG-SCOPE", "names declared before use", True, scope_detail)]
+
+    try:
         worst = 0.0
         for step in iter_steps(circuit, oracles, DEFAULT_SEED):
             norm = float(np.linalg.norm(step.state))
@@ -172,32 +171,3 @@ def check_program(program: lang.Program, tol: float = DEFAULT_TOL, subject: str 
         detail = f"execution failed: {exc}"
     checks.append(CheckResult("PROG-NORM", "unit norm after every instruction", passed, detail))
     return CheckReport(subject, tuple(checks))
-
-
-def _scope_check(program: lang.Program) -> tuple[bool, str]:
-    oracles: set[str] = set()
-    for decl in program.oracle_decls:
-        if decl.name in oracles:
-            return False, f"duplicate oracle declaration {decl.name!r}"
-        oracles.add(decl.name)
-    qubits: set[str] = set()
-    for idx, stmt in enumerate(program.statements):
-        if isinstance(stmt, lang.AllocStmt):
-            if stmt.name in qubits:
-                return False, f"statement {idx}: qubit {stmt.name!r} declared twice"
-            qubits.add(stmt.name)
-        elif isinstance(stmt, lang.ApplyStmt):
-            for q in stmt.targets:
-                if q not in qubits:
-                    return False, f"statement {idx}: undeclared qubit {q!r}"
-        elif isinstance(stmt, lang.OracleApplyStmt):
-            if stmt.oracle not in oracles:
-                return False, f"statement {idx}: undeclared oracle {stmt.oracle!r}"
-            for q in (stmt.control, stmt.register):
-                if q not in qubits:
-                    return False, f"statement {idx}: undeclared qubit {q!r}"
-        elif isinstance(stmt, lang.MeasureStmt):
-            if stmt.name not in qubits:
-                return False, f"statement {idx}: undeclared qubit {stmt.name!r}"
-    n = len(program.statements)
-    return True, f"{len(qubits)} qubit(s), {len(oracles)} oracle(s), {n} statement(s)"

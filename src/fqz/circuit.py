@@ -6,12 +6,14 @@ allocated is the most significant), Apply runs a built-in gate by name,
 ApplyOracle runs the two-qubit unitary of a named single-bit function on
 a (control, register) qubit pair, and Measure reads one qubit out.
 
-Execution is strictly in order. Scoping problems are rejected before any
-instruction runs, with the index of the offending instruction.
+Execution is strictly in order. validate_circuit is the one authority on
+whether a circuit is well formed (scoping, allocation kets, gate names and
+angles, the register cap, oracle names): it rejects a bad circuit before
+any instruction runs, with the index of the offending instruction, and
+lang.compile_program and the checker's PROG-SCOPE rule defer to it.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Union
@@ -21,17 +23,10 @@ import numpy as np
 from . import gates, state
 from .rng import SplitMix64, shot_seed
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-# The six allocation kets of the surface language, as amplitude pairs.
-KET_VECTORS = {
-    "|0>": (1.0, 0.0),
-    "|1>": (0.0, 1.0),
-    "H|0>": (_SQRT_HALF, _SQRT_HALF),
-    "H|1>": (_SQRT_HALF, -_SQRT_HALF),
-    "|+>": (_SQRT_HALF, _SQRT_HALF),
-    "|->": (_SQRT_HALF, -_SQRT_HALF),
-}
+# The six allocation kets of the surface language; H|b> is the state that
+# H prepares from |b>, which is |+> or |->.
+KET_VECTORS = {f"|{label}>": gates.ket_vector(label, 1) for label in "01+-"}
+KET_VECTORS["H|0>"], KET_VECTORS["H|1>"] = KET_VECTORS["|+>"], KET_VECTORS["|->"]
 
 
 class OracleFn(Enum):
@@ -111,6 +106,7 @@ class CircuitError(ValueError):
     def __init__(self, index: int, message: str):
         super().__init__(f"instruction {index}: {message}")
         self.index = index
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,9 @@ class Circuit:
 
 def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> None:
     """Static checks, run before execution: declaration before use, no
-    double allocation, register cap, every oracle name resolvable."""
+    double allocation, register cap, known allocation kets, built-in gate
+    names with an angle exactly where one is needed, every oracle name
+    resolvable."""
     declared: list[str] = []
     for i, ins in enumerate(circuit.instructions):
         if isinstance(ins, Alloc):
@@ -138,6 +136,10 @@ def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> None:
                 raise CircuitError(i, f"unknown allocation ket {ins.ket!r}")
             declared.append(ins.name)
         elif isinstance(ins, Apply):
+            try:
+                gates.validate_gate_args(ins.gate, ins.parameter)
+            except ValueError as exc:
+                raise CircuitError(i, str(exc)) from None
             for q in ins.targets:
                 if q not in declared:
                     raise CircuitError(i, f"undeclared qubit {q!r}")
@@ -182,7 +184,7 @@ def iter_steps(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) -> 
         pre = None
         if isinstance(ins, Alloc):
             names.append(ins.name)
-            psi = np.kron(psi, np.asarray(KET_VECTORS[ins.ket], dtype=np.complex128))
+            psi = np.kron(psi, KET_VECTORS[ins.ket])
         elif isinstance(ins, Apply):
             g = gates.gate(ins.gate, ins.parameter)
             psi = state.apply_gate(psi, g, [names.index(q) for q in ins.targets])
@@ -217,6 +219,12 @@ class RunReport:
         """Measured bits concatenated in measurement order."""
         return "".join(str(bit) for _, bit, _ in self.measured)
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The superposition the measurements consume: the state just before
+        the first Measure, or the final state if nothing is measured."""
+        return self.pre_measure_states[0] if self.pre_measure_states else self.final_state
+
 
 def run_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) -> RunReport:
     """Single-shot execution."""
@@ -247,25 +255,9 @@ def run_shots(circuit: Circuit, oracles: Mapping[str, OracleFn], root_seed: int,
 
 
 def pre_measurement_state(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> np.ndarray:
-    """State right before the first Measure (the full superposition the
-    measurements consume), or the final state if nothing is measured."""
-    psi = np.ones(1, dtype=np.complex128)
-    for step in iter_steps(circuit, oracles, seed=0):
-        if step.pre_measure_state is not None:
-            return step.pre_measure_state
-        psi = step.state
-    return psi
-
-
-def circuits_equivalent(
-    a: Circuit, b: Circuit, oracles: Mapping[str, OracleFn], tol: float = 1e-12
-) -> bool:
-    """Brute-force comparison of the two pre-measurement states."""
-    sa = pre_measurement_state(a, oracles)
-    sb = pre_measurement_state(b, oracles)
-    if sa.shape != sb.shape:
-        return False
-    return float(np.abs(sa - sb).max()) <= tol
+    """The state the measurements consume (RunReport.amplitudes). The seed
+    only picks the outcomes drawn after it, so any seed gives this state."""
+    return run_circuit(circuit, oracles, seed=0).amplitudes
 
 
 class Verdict(Enum):
@@ -277,6 +269,7 @@ class Verdict(Enum):
 class DeutschVerdict:
     verdict: Verdict
     measured_bit: int
+    probability: float  # of the measured bit; 1 up to rounding
 
 
 def deutsch_circuit() -> Circuit:
@@ -301,37 +294,5 @@ def deutsch(fn: OracleFn, seed: int = 0) -> DeutschVerdict:
     is deterministic (probability 1), so the seed never changes the
     verdict.
     """
-    report = run_circuit(deutsch_circuit(), {"f": fn}, seed)
-    bit = report.measured[0][1]
-    return DeutschVerdict(Verdict.CONSTANT if bit == 0 else Verdict.BALANCED, bit)
-
-
-def _deutsch_steps_nested() -> Circuit:
-    # Reading 1: the preparations are nested inside the oracle query, so
-    # building the query emits them as part of assembling its argument.
-    preparation = [Alloc("x", "H|0>"), Alloc("y", "H|1>")]
-    query = preparation + [ApplyOracle("f", "x", "y")]
-    return Circuit(query + [Apply("H", ("x",))])
-
-
-def _deutsch_steps_sequential() -> Circuit:
-    # Reading 2: four free-standing steps in sequence.
-    return Circuit(
-        [
-            Alloc("x", "H|0>"),
-            Alloc("y", "H|1>"),
-            ApplyOracle("f", "x", "y"),
-            Apply("H", ("x",)),
-        ]
-    )
-
-
-def deutsch_seq_equivalence_check(tol: float = 1e-12) -> bool:
-    """The nested and sequential phrasings of the Deutsch preparation
-    denote the same circuit; confirm their states agree for all four
-    oracles."""
-    nested = _deutsch_steps_nested()
-    sequential = _deutsch_steps_sequential()
-    return all(
-        circuits_equivalent(nested, sequential, {"f": fn}, tol) for fn in OracleFn
-    )
+    _, bit, probability = run_circuit(deutsch_circuit(), {"f": fn}, seed).measured[0]
+    return DeutschVerdict(Verdict.CONSTANT if bit == 0 else Verdict.BALANCED, bit, probability)

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import checker, lang
-from .circuit import ORACLE_KEYWORDS, deutsch_circuit, oracle_gate, run_circuit, run_shots
+from .circuit import ORACLE_KEYWORDS, deutsch, oracle_gate, run_shots
 from .gates import gate as gate_by_name
 
 DEUTSCH_TOL = 1e-9
@@ -119,15 +119,11 @@ def cmd_run(path: str, shots: int, seed: int, fmt: str) -> int:
     program = _read_program(path)
     circuit, oracles = lang.compile_program(program)
     report = run_shots(circuit, oracles, seed, shots)
-    if report.pre_measure_states:
-        amplitudes = report.pre_measure_states[0]
-    else:
-        amplitudes = report.final_state
     counts = {k: report.shots[k] for k in sorted(report.shots)}
     if fmt == "json":
         payload = {
             "outcomes": counts,
-            "amplitudes": _amplitude_rows(amplitudes),
+            "amplitudes": _amplitude_rows(report.amplitudes),
             "seed": seed,
             "shots": shots,
         }
@@ -139,17 +135,15 @@ def cmd_run(path: str, shots: int, seed: int, fmt: str) -> int:
 
 
 def cmd_deutsch(oracle: str, seed: int, fmt: str) -> int:
-    fn = ORACLE_KEYWORDS[oracle]
-    report = run_circuit(deutsch_circuit(), {"f": fn}, seed)
-    _, bit, probability = report.measured[0]
-    verdict = "CONSTANT" if bit == 0 else "BALANCED"
+    result = deutsch(ORACLE_KEYWORDS[oracle], seed)
+    verdict, bit = result.verdict.value, result.measured_bit
     if fmt == "json":
         print(json.dumps({"verdict": verdict, "bit": bit}))
     else:
         print(f"{verdict} (bit {bit})")
     # The algorithm is deterministic; a non-certain outcome means the
     # simulation itself is broken, which counts as a failed verdict.
-    return 0 if abs(probability - 1.0) <= DEUTSCH_TOL else 1
+    return 0 if abs(result.probability - 1.0) <= DEUTSCH_TOL else 1
 
 
 def main(argv=None) -> int:
@@ -161,13 +155,10 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(args.path, args.shots, args.seed, args.format)
         return cmd_deutsch(args.oracle, args.seed, args.format)
-    except lang.ParseError as exc:
+    except (lang.ParseError, lang.CompileError) as exc:
         print(f"{args.path}:{exc.line}:{exc.column}: {exc.message}", file=sys.stderr)
         return 2
-    except (lang.CompileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,6 +15,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -131,13 +132,22 @@ def mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.nda
         if residual > tol:
             raise MappingError(f"pair |{label}> -> {_expr_text(expr)} is inconsistent with the other pairs")
     if not is_unitary(u, tol):
-        for i in range(len(mapping.pairs)):
-            for j in range(i + 1, len(mapping.pairs)):
-                if float(np.abs(v_out[:, i] - v_out[:, j]).max()) <= tol:
-                    a, b = mapping.pairs[i][0], mapping.pairs[j][0]
-                    raise MappingError(f"inputs |{a}> and |{b}> map to the same state, so the mapping is not injective")
+        collision = colliding_inputs(mapping, tol)
+        if collision is not None:
+            a, b = collision
+            raise MappingError(f"inputs |{a}> and |{b}> map to the same state, so the mapping is not injective")
         raise MappingError("mapping does not induce a unitary matrix")
     return u
+
+
+def colliding_inputs(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> tuple[str, str] | None:
+    """The first pair of inputs, in pair order, that the mapping sends to
+    the same state (within tol), or None if the mapping is injective."""
+    outputs = [(label, expr.vector(mapping.arity)) for label, expr in mapping.pairs]
+    for (a, out_a), (b, out_b) in itertools.combinations(outputs, 2):
+        if float(np.abs(out_a - out_b).max()) <= tol:
+            return a, b
+    return None
 
 
 def _expr_text(expr: KetExpr) -> str:
@@ -227,18 +237,22 @@ _FIXED_GATES = {
 }
 
 
-def gate(name: str, parameter: float | None = None) -> Gate:
-    """Look up a built-in gate by canonical name."""
+def validate_gate_args(name: str, parameter: float | None) -> None:
+    """Raise ValueError unless `name` is a built-in gate and `parameter` is
+    given exactly when the gate takes an angle (only R does). Builds nothing."""
     if name == "R":
         if parameter is None:
             raise ValueError("gate R requires an angle parameter")
-        return phase_shift(parameter)
-    if parameter is not None:
+    elif parameter is not None:
         raise ValueError(f"gate {name} takes no parameter")
-    try:
-        return _FIXED_GATES[name]()
-    except KeyError:
-        raise ValueError(f"unknown gate name {name!r}") from None
+    elif name not in _FIXED_GATES:
+        raise ValueError(f"unknown gate name {name!r}")
+
+
+def gate(name: str, parameter: float | None = None) -> Gate:
+    """Look up a built-in gate by canonical name."""
+    validate_gate_args(name, parameter)
+    return phase_shift(parameter) if name == "R" else _FIXED_GATES[name]()
 
 
 def builtin_gates() -> tuple[Gate, ...]:

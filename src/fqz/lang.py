@@ -21,6 +21,10 @@ oracle named f to a control qubit and a register qubit, in that order.
 Scoping is enforced while parsing: qubits and oracles must be declared
 before use and may not be declared twice. Parsing is fail-fast; every
 ParseError carries the 1-based line and column of the first violation.
+
+compile_program only lowers: circuit.validate_circuit, the one structural
+authority, judges the result, and its errors come back as CompileErrors
+located at the offending statement.
 """
 from __future__ import annotations
 
@@ -30,8 +34,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
+from . import circuit
 from .circuit import (
-    KET_VECTORS,
     ORACLE_KEYWORDS,
     Alloc,
     Apply,
@@ -79,7 +83,15 @@ class ParseError(ValueError):
 
 
 class CompileError(ValueError):
-    """A structurally well-formed program that cannot be lowered."""
+    """A parsed program that is not a valid circuit, located at the offending
+    statement or oracle declaration (line and column are 0 for programs
+    built by hand, which carry no positions)."""
+
+    def __init__(self, message: str, line: int = 0, column: int = 0, index: int | None = None):
+        super().__init__(message if index is None else f"statement {index}: {message}")
+        self.message = message
+        self.line = line
+        self.column = column
 
 
 KEYWORDS = {"qubit", "oracle", "measure", "const0", "const1", "id", "not"}
@@ -454,33 +466,34 @@ def pretty_print(program: Program) -> str:
 
 
 def compile_program(program: Program) -> tuple[Circuit, dict[str, OracleFn]]:
-    """Lower to (circuit, oracle table). Statement i becomes instruction i."""
+    """Lower to (circuit, oracle table). Statement i becomes instruction i,
+    and circuit.validate_circuit decides whether the result is valid."""
     oracles: dict[str, OracleFn] = {}
     for decl in program.oracle_decls:
+        # the oracle table is a dict, which cannot hold the duplicate for
+        # validate_circuit to see
         if decl.name in oracles:
-            raise CompileError(f"duplicate oracle declaration {decl.name!r}")
+            raise CompileError(f"duplicate oracle declaration {decl.name!r}", decl.line, decl.column)
         oracles[decl.name] = decl.fn
     instructions = []
-    for stmt in program.statements:
+    for i, stmt in enumerate(program.statements):
         if isinstance(stmt, AllocStmt):
-            if stmt.ket not in KET_VECTORS:
-                raise CompileError(f"unknown ket literal {stmt.ket!r}")
             instructions.append(Alloc(stmt.name, stmt.ket))
         elif isinstance(stmt, ApplyStmt):
-            if stmt.gate not in SINGLE_QUBIT_GATES and stmt.gate != "R":
-                raise CompileError(f"unknown gate name {stmt.gate!r}")
-            if stmt.gate == "R" and stmt.parameter is None:
-                raise CompileError("gate R requires an angle parameter")
             instructions.append(Apply(stmt.gate, stmt.targets, stmt.parameter))
         elif isinstance(stmt, OracleApplyStmt):
-            if stmt.oracle not in oracles:
-                raise CompileError(f"undeclared oracle {stmt.oracle!r}")
             instructions.append(ApplyOracle(stmt.oracle, stmt.control, stmt.register))
         elif isinstance(stmt, MeasureStmt):
             instructions.append(Measure(stmt.name))
         else:
-            raise CompileError(f"not a statement: {stmt!r}")
-    return Circuit(tuple(instructions)), oracles
+            raise CompileError(f"not a statement: {stmt!r}", index=i)
+    lowered = Circuit(tuple(instructions))
+    try:
+        circuit.validate_circuit(lowered, oracles)
+    except circuit.CircuitError as exc:
+        stmt = program.statements[exc.index]
+        raise CompileError(exc.message, stmt.line, stmt.column, exc.index) from None
+    return lowered, oracles
 
 
 def deutsch_source(oracle_keyword: str = "const0") -> str:

@@ -35,19 +35,6 @@ def conjugate_transpose(m) -> np.ndarray:
     return as_matrix(m).conj().T
 
 
-def mat_mul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; the left factor indexes the high-order blocks."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def approx_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
     """True iff a and b share a shape and agree entrywise within tol."""
     _check_tol(tol)
@@ -72,7 +59,7 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
         return False
     eye = np.eye(m.shape[0], dtype=np.complex128)
     mh = conjugate_transpose(m)
-    return approx_equal(mat_mul(m, mh), eye, tol) and approx_equal(mat_mul(mh, m), eye, tol)
+    return approx_equal(m @ mh, eye, tol) and approx_equal(mh @ m, eye, tol)
 
 
 def eigenvalues_2x2(m) -> tuple[complex, complex]:

@@ -71,7 +71,7 @@ def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
     """Apply g to the given qubits; the first target is the gate's most
     significant input (for CNOT, the control)."""
     psi = as_state(state)
-    n = num_qubits(psi)
+    n = psi.size.bit_length() - 1
     targets = _check_targets(g, targets, n)
     a = g.arity
     t = psi.reshape((2,) * n)
@@ -129,7 +129,7 @@ def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     probability; the input state is not mutated.
     """
     psi = as_state(state)
-    n = num_qubits(psi)
+    n = psi.size.bit_length() - 1
     if not 0 <= target < n:
         raise ValueError(f"target qubit {target} out of range for a {n}-qubit register")
     idx = np.arange(psi.size)

@@ -90,12 +90,21 @@ class TestCheckGate:
         assert not rules["GATE-M"].passed
 
     def test_collapsing_mapping_fails_injectivity(self):
-        mapping = gates.BasisMapping(1, (("0", gates.ket("0")), ("1", gates.ket("0"))))
-        g = gates.Gate("BAD", 1, np.eye(2, dtype=complex), mapping)
-        rules = by_rule(checker.check_gate(g))
-        assert not rules["GATE-M"].passed  # mapping does not even induce a unitary
-        assert not rules["GATE-INJ"].passed
-        assert "|0>" in rules["GATE-INJ"].detail and "|1>" in rules["GATE-INJ"].detail
+        collapsing = [
+            ((("0", "0"), ("1", "0")), ("0", "1")),
+            # three colliding pairs; both rules name the first, |00> and |01>
+            ((("00", "00"), ("01", "00"), ("10", "00"), ("11", "11")), ("00", "01")),
+        ]
+        for pairs, (a, b) in collapsing:
+            arity = len(pairs[0][0])
+            mapping = gates.BasisMapping(arity, tuple((i, gates.ket(o)) for i, o in pairs))
+            g = gates.Gate("BAD", arity, np.eye(2**arity, dtype=complex), mapping)
+            rules = by_rule(checker.check_gate(g))
+            named = f"inputs |{a}> and |{b}> map to the same state"
+            assert not rules["GATE-M"].passed  # mapping does not even induce a unitary
+            assert named in rules["GATE-M"].detail  # mapping_to_matrix's error text
+            assert not rules["GATE-INJ"].passed
+            assert rules["GATE-INJ"].detail == named
 
     def test_gate_without_mapping_passes_vacuously(self):
         g = gates.Gate("BARE", 1, np.eye(2, dtype=complex))

@@ -51,6 +51,14 @@ class TestCheck:
         assert code == 2
         assert ":1:11:" in err
 
+    def test_more_than_twelve_qubits_fails_scope(self, capsys, tmp_path):
+        path = tmp_path / "wide.fqz"
+        path.write_text("".join(f"qubit q{i} = |0>\n" for i in range(13)), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 1
+        assert "FAIL PROG-SCOPE names declared before use (statement 12: register cap of 12 qubits exceeded)" in out
+        assert "FAIL PROG-NORM unit norm after every instruction (skipped: scoping failed)" in out
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "check", "/no/such/file.fqz")
         assert code == 2
@@ -91,6 +99,14 @@ class TestRun:
         assert code == 0
         payload = json.loads(out)
         assert sum(payload["outcomes"].values()) == 100
+
+    def test_more_than_twelve_qubits_is_a_located_error(self, capsys, tmp_path):
+        path = tmp_path / "wide.fqz"
+        path.write_text("".join(f"qubit q{i} = |0>\n" for i in range(13)) + "measure q0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"{path}:13:1: register cap of 12 qubits exceeded\n"
 
     def test_zero_shots_is_usage_error(self, capsys, deutsch_file):
         with pytest.raises(SystemExit) as exc:

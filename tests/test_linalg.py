@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from fqz import linalg
@@ -58,52 +58,6 @@ class TestConjugateTranspose:
             m = m @ m.conj().T  # square it up
         s = m + linalg.conjugate_transpose(m)
         assert linalg.is_hermitian(s, ATOL)
-
-
-class TestMatMul:
-    def test_identity_is_neutral_exactly(self):
-        m = linalg.as_matrix([[1 + 1j, 2], [3, 5 - 2j]])
-        eye = np.eye(2, dtype=np.complex128)
-        assert np.array_equal(linalg.mat_mul(m, eye), m)
-        assert np.array_equal(linalg.mat_mul(eye, m), m)
-
-    def test_hand_checked_product(self):
-        # [[0,1],[1,0]] squared is the identity
-        x = [[0, 1], [1, 0]]
-        assert np.array_equal(linalg.mat_mul(x, x), np.eye(2))
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 3\)"):
-            linalg.mat_mul(np.eye(2), np.eye(3))
-
-
-class TestKron:
-    def test_ket0_with_ket1(self):
-        """|0> kron |1> = (0, 1, 0, 0) as a column."""
-        k0 = [[1], [0]]
-        k1 = [[0], [1]]
-        out = linalg.kron(k0, k1)
-        assert np.array_equal(out, np.array([[0], [1], [0], [0]]))
-
-    def test_index_formula(self):
-        a = linalg.as_matrix([[1, 2], [3, 4]])
-        b = linalg.as_matrix([[0, 5], [6, 7]])
-        out = linalg.kron(a, b)
-        p, q = b.shape
-        for i in range(2):
-            for j in range(2):
-                for k in range(p):
-                    for l in range(q):
-                        assert out[i * p + k, j * q + l] == a[i, j] * b[k, l]
-
-    @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
-    @settings(max_examples=20)
-    def test_associative(self, i, j, k):
-        mats = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[1, 1], [1, -1]]) / np.sqrt(2)]
-        a, b, c = mats[i], mats[j], mats[k]
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        np.testing.assert_allclose(left, right, atol=1e-12)
 
 
 class TestPredicates:
