@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqz import gates, state
+from fqz.circuit import OracleFn, oracle_gate
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -96,6 +97,46 @@ class TestApplyGate:
         for t in range(3):
             twice = state.apply_gate(state.apply_gate(psi, g, [t]), g, [t])
             np.testing.assert_allclose(twice, psi, atol=1e-9)
+
+
+def tensordot_apply(psi, g, targets):
+    """The contraction route apply_gate took before it called np.dot
+    itself: move the target axes to the front, np.tensordot the gate
+    against them, move them back. Reference for bit-identity."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    n = psi.size.bit_length() - 1
+    a = g.arity
+    targets = tuple(targets)
+    t = np.moveaxis(psi.reshape((2,) * n), targets, tuple(range(a)))
+    op = np.asarray(g.matrix, dtype=np.complex128).reshape((2,) * (2 * a))
+    t = np.tensordot(op, t, axes=(tuple(range(a, 2 * a)), tuple(range(a))))
+    return np.moveaxis(t, tuple(range(a)), targets).reshape(-1)
+
+
+ALL_GATES = [
+    *ONE_QUBIT_GATES,
+    gates.phase_shift(-0.0),
+    gates.phase_shift(-2.5),
+    gates.cnot(),
+    *(oracle_gate(fn.value, fn) for fn in OracleFn),
+]
+
+
+class TestApplyGateBitIdentity:
+    """apply_gate must give the reference route's bytes, signed zeros included."""
+
+    @pytest.mark.parametrize("n", range(1, state.MAX_QUBITS + 1))
+    def test_every_gate_every_target_order(self, n):
+        rng = np.random.default_rng(n)
+        dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        dense /= np.linalg.norm(dense)
+        # sparse and negated, so the outputs hold zeros of both signs
+        sparse = -(state.basis_state(n, 2**n - 1) + 1j * state.basis_state(n, 0)) * SQRT_HALF
+        for g in ALL_GATES:
+            for targets in itertools.permutations(range(n), g.arity):
+                for psi in (dense, sparse):
+                    got = state.apply_gate(psi, g, targets)
+                    assert got.tobytes() == tensordot_apply(psi, g, targets).tobytes(), (g.name, targets)
 
 
 class TestExpandedUnitaryAgreement:
