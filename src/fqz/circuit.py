@@ -11,6 +11,12 @@ whether a circuit is well formed (scoping, allocation kets, gate names and
 angles, the register cap, oracle names): it rejects a bad circuit before
 any instruction runs, with the index of the offending instruction, and
 lang.compile_program and the checker's PROG-SCOPE rule defer to it.
+
+lower resolves a circuit for execution once: it validates it, builds each
+distinct gate and oracle Gate once, turns every qubit name into its
+register index and computes the states after the leading run of Allocs.
+The resulting Plan is what every shot of run_shots executes; iter_steps
+and run_circuit take either a Circuit, which they lower first, or a Plan.
 """
 from __future__ import annotations
 
@@ -157,6 +163,52 @@ def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> None:
 
 
 @dataclass(frozen=True, eq=False)
+class Plan:
+    """A validated circuit with every operand resolved, shared by all shots.
+
+    prefix holds the (read-only) states after each Alloc of the leading run
+    of Allocs. ops holds one entry per later instruction: ("alloc", ket
+    vector), ("gate", Gate, target indices) or ("measure", target index).
+    """
+
+    circuit: Circuit
+    prefix: tuple[np.ndarray, ...]
+    ops: tuple[tuple, ...]
+
+
+def lower(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> Plan:
+    """Validate `circuit` and resolve it for execution (see Plan)."""
+    validate_circuit(circuit, oracles)
+    index: dict[str, int] = {}
+    built: dict[tuple, gates.Gate] = {}
+    prefix: list[np.ndarray] = []
+    ops: list[tuple] = []
+    psi = np.ones(1, dtype=np.complex128)  # empty register: a single amplitude
+    for ins in circuit.instructions:
+        if isinstance(ins, Alloc):
+            index[ins.name] = len(index)
+            if not ops:
+                psi = np.kron(psi, KET_VECTORS[ins.ket])
+                psi.setflags(write=False)
+                prefix.append(psi)
+            else:
+                ops.append(("alloc", KET_VECTORS[ins.ket]))
+        elif isinstance(ins, Apply):
+            key = ("gate", ins.gate, ins.parameter)
+            if key not in built:
+                built[key] = gates.gate(ins.gate, ins.parameter)
+            ops.append(("gate", built[key], tuple(index[q] for q in ins.targets)))
+        elif isinstance(ins, ApplyOracle):
+            key = ("oracle", ins.oracle)
+            if key not in built:
+                built[key] = oracle_gate(ins.oracle, oracles[ins.oracle])
+            ops.append(("gate", built[key], (index[ins.control], index[ins.register])))
+        else:
+            ops.append(("measure", index[ins.name]))
+    return Plan(circuit, tuple(prefix), tuple(ops))
+
+
+@dataclass(frozen=True, eq=False)
 class Step:
     """State of the run after one instruction."""
 
@@ -168,35 +220,34 @@ class Step:
     pre_measure_state: np.ndarray | None = None
 
 
-def iter_steps(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) -> Iterator[Step]:
+def iter_steps(circuit: Circuit | Plan, oracles: Mapping[str, OracleFn], seed: int) -> Iterator[Step]:
     """Execute instruction by instruction, yielding the state after each.
 
+    A Circuit is lowered (and so validated) at the first next(); a Plan
+    already carries its oracles, so `oracles` is then not read.
     Measurement outcomes are drawn from a splitmix64 stream seeded by
     `seed`, one sub-seed per Measure, so a run is a pure function of
     (circuit, oracles, seed).
     """
-    validate_circuit(circuit, oracles)
+    plan = circuit if isinstance(circuit, Plan) else lower(circuit, oracles)
+    instructions = plan.circuit.instructions
+    for i, psi in enumerate(plan.prefix):
+        yield Step(i, instructions[i], psi)
     rng = SplitMix64(seed)
-    names: list[str] = []
-    psi = np.ones(1, dtype=np.complex128)  # empty register: a single amplitude
-    for i, ins in enumerate(circuit.instructions):
+    psi = plan.prefix[-1] if plan.prefix else np.ones(1, dtype=np.complex128)
+    for i, op in enumerate(plan.ops, start=len(plan.prefix)):
         measured = None
         pre = None
-        if isinstance(ins, Alloc):
-            names.append(ins.name)
-            psi = np.kron(psi, KET_VECTORS[ins.ket])
-        elif isinstance(ins, Apply):
-            g = gates.gate(ins.gate, ins.parameter)
-            psi = state.apply_gate(psi, g, [names.index(q) for q in ins.targets])
-        elif isinstance(ins, ApplyOracle):
-            g = oracle_gate(ins.oracle, oracles[ins.oracle])
-            psi = state.apply_gate(psi, g, [names.index(ins.control), names.index(ins.register)])
+        if op[0] == "alloc":
+            psi = np.kron(psi, op[1])
+        elif op[0] == "gate":
+            psi = state.apply_gate(psi, op[1], op[2])
         else:
             pre = psi
-            result = state.measure_qubit(psi, names.index(ins.name), rng.next_u64())
-            measured = (ins.name, result.bit, result.probability)
+            result = state.measure_qubit(psi, op[1], rng.next_u64())
+            measured = (instructions[i].name, result.bit, result.probability)
             psi = result.post_state
-        yield Step(i, ins, psi, measured, pre)
+        yield Step(i, instructions[i], psi, measured, pre)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,8 +277,8 @@ class RunReport:
         return self.pre_measure_states[0] if self.pre_measure_states else self.final_state
 
 
-def run_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) -> RunReport:
-    """Single-shot execution."""
+def run_circuit(circuit: Circuit | Plan, oracles: Mapping[str, OracleFn], seed: int) -> RunReport:
+    """Single-shot execution of a Circuit or a lowered Plan."""
     psi = np.ones(1, dtype=np.complex128)
     measured: list[tuple[str, int, float]] = []
     pres: list[np.ndarray] = []
@@ -241,13 +292,15 @@ def run_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) ->
 
 def run_shots(circuit: Circuit, oracles: Mapping[str, OracleFn], root_seed: int, shots: int) -> RunReport:
     """Batch execution. Shot i runs with seed mix64(root_seed XOR i); the
-    returned report is shot 0's, with the outcome tally attached."""
+    returned report is shot 0's, with the outcome tally attached. The
+    circuit is lowered once and every shot runs the same Plan."""
     if shots < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
+    plan = lower(circuit, oracles)
     counts: dict[str, int] = {}
     first: RunReport | None = None
     for i in range(shots):
-        report = run_circuit(circuit, oracles, shot_seed(root_seed, i))
+        report = run_circuit(plan, oracles, shot_seed(root_seed, i))
         if first is None:
             first = report
         counts[report.outcome] = counts.get(report.outcome, 0) + 1

@@ -1,10 +1,12 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from fqz import circuit as fc
-from fqz import gates, state
+from fqz import gates, lang, state
 from fqz.circuit import (
     Alloc,
     Apply,
@@ -15,6 +17,8 @@ from fqz.circuit import (
     OracleFn,
     Verdict,
 )
+from fqz.rng import shot_seed
+from fuzz_programs import random_program
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -177,6 +181,72 @@ class TestRunShots:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError, match=">= 1"):
             fc.run_shots(Circuit(()), {}, 0, 0)
+
+    @pytest.mark.parametrize("program_seed", range(6))
+    def test_matches_a_loop_of_single_shot_runs(self, program_seed):
+        """Lowering once changes nothing: the counts and the bytes of the
+        amplitudes equal those of shots run one by one from the circuit."""
+        source = random_program(random.Random(program_seed), max_qubits=6, max_statements=30)
+        c, oracles = lang.compile_program(lang.parse_source(source))
+        for root_seed in (0, 7, 2**63 + 11):
+            report = fc.run_shots(c, oracles, root_seed, shots=25)
+            singles = [fc.run_circuit(c, oracles, shot_seed(root_seed, i)) for i in range(25)]
+            assert report.shots == dict(Counter(r.outcome for r in singles))
+            assert report.amplitudes.tobytes() == singles[0].amplitudes.tobytes()
+            assert report.final_state.tobytes() == singles[0].final_state.tobytes()
+
+
+class TestLower:
+    def test_run_shots_validates_and_builds_each_gate_once(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name if name == "validate" else (name, *args)] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(fc, "validate_circuit", counted("validate", fc.validate_circuit))
+        monkeypatch.setattr(gates, "gate", counted("gate", gates.gate))
+        monkeypatch.setattr(fc, "oracle_gate", counted("oracle", fc.oracle_gate))
+        c = Circuit(
+            (
+                Alloc("x", "H|0>"),
+                Alloc("y", "|1>"),
+                Apply("H", ("x",)),
+                Apply("R", ("y",), 0.5),
+                ApplyOracle("f", "x", "y"),
+                Measure("x"),
+                Apply("H", ("x",)),
+                Apply("R", ("x",), 0.5),
+                ApplyOracle("f", "y", "x"),
+                ApplyOracle("g", "x", "y"),
+                Measure("y"),
+            )
+        )
+        oracles = {"f": OracleFn.IDENTITY, "g": OracleFn.NEGATION}
+        fc.run_shots(c, oracles, root_seed=1, shots=50)
+        assert calls.pop("validate") == 1
+        assert calls == {
+            ("gate", "H", None): 1,
+            ("gate", "R", 0.5): 1,
+            ("oracle", "f", OracleFn.IDENTITY): 1,
+            ("oracle", "g", OracleFn.NEGATION): 1,
+        }
+
+    def test_leading_allocation_states_are_shared_and_read_only(self):
+        c = Circuit((Alloc("x", "H|0>"), Alloc("y", "|1>"), Apply("X", ("x",)), Alloc("z", "|0>")))
+        plan = fc.lower(c, {})
+        assert len(plan.prefix) == 2
+        np.testing.assert_allclose(plan.prefix[-1], [0, SQRT_HALF, 0, SQRT_HALF], atol=1e-12)
+        for psi in plan.prefix:
+            assert not psi.flags.writeable
+            with pytest.raises(ValueError):
+                psi[0] = 0.0
+        first, second = (list(fc.iter_steps(plan, {}, seed)) for seed in (0, 1))
+        assert first[1].state is second[1].state is plan.prefix[1]
+        assert first[-1].state.flags.writeable
 
 
 class TestDeutsch:
