@@ -14,7 +14,7 @@ lang.compile_program and the checker's PROG-SCOPE rule defer to it.
 
 lower resolves a circuit for execution once: it validates it, builds each
 distinct gate and oracle Gate once, turns every qubit name into its
-register index and computes the states after the leading run of Allocs.
+register index and computes the states the leading run of Allocs leaves.
 The resulting Plan is what every shot of run_shots executes; iter_steps
 and run_circuit take either a Circuit, which they lower first, or a Plan.
 """
@@ -166,13 +166,12 @@ def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> None:
 class Plan:
     """A validated circuit with every operand resolved, shared by all shots.
 
-    prefix holds the (read-only) states after each Alloc of the leading run
-    of Allocs. ops holds one entry per later instruction: ("alloc", ket
+    ops holds one entry per instruction: ("state", the read-only state it
+    leaves) for each Alloc of the leading run of Allocs, then ("alloc", ket
     vector), ("gate", Gate, target indices) or ("measure", target index).
     """
 
     circuit: Circuit
-    prefix: tuple[np.ndarray, ...]
     ops: tuple[tuple, ...]
 
 
@@ -181,18 +180,17 @@ def lower(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> Plan:
     validate_circuit(circuit, oracles)
     index: dict[str, int] = {}
     built: dict[tuple, gates.Gate] = {}
-    prefix: list[np.ndarray] = []
     ops: list[tuple] = []
     psi = np.ones(1, dtype=np.complex128)  # empty register: a single amplitude
     for ins in circuit.instructions:
         if isinstance(ins, Alloc):
-            index[ins.name] = len(index)
-            if not ops:
+            if len(ops) == len(index):  # every instruction so far was an Alloc
                 psi = np.kron(psi, KET_VECTORS[ins.ket])
-                psi.setflags(write=False)
-                prefix.append(psi)
+                psi.setflags(write=False)  # every shot shares it
+                ops.append(("state", psi))
             else:
                 ops.append(("alloc", KET_VECTORS[ins.ket]))
+            index[ins.name] = len(index)
         elif isinstance(ins, Apply):
             key = ("gate", ins.gate, ins.parameter)
             if key not in built:
@@ -205,7 +203,7 @@ def lower(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> Plan:
             ops.append(("gate", built[key], (index[ins.control], index[ins.register])))
         else:
             ops.append(("measure", index[ins.name]))
-    return Plan(circuit, tuple(prefix), tuple(ops))
+    return Plan(circuit, tuple(ops))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,14 +229,14 @@ def iter_steps(circuit: Circuit | Plan, oracles: Mapping[str, OracleFn], seed: i
     """
     plan = circuit if isinstance(circuit, Plan) else lower(circuit, oracles)
     instructions = plan.circuit.instructions
-    for i, psi in enumerate(plan.prefix):
-        yield Step(i, instructions[i], psi)
     rng = SplitMix64(seed)
-    psi = plan.prefix[-1] if plan.prefix else np.ones(1, dtype=np.complex128)
-    for i, op in enumerate(plan.ops, start=len(plan.prefix)):
+    psi = np.ones(1, dtype=np.complex128)
+    for i, op in enumerate(plan.ops):
         measured = None
         pre = None
-        if op[0] == "alloc":
+        if op[0] == "state":
+            psi = op[1]
+        elif op[0] == "alloc":
             psi = np.kron(psi, op[1])
         elif op[0] == "gate":
             psi = state.apply_gate(psi, op[1], op[2])

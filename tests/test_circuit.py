@@ -238,14 +238,15 @@ class TestLower:
     def test_leading_allocation_states_are_shared_and_read_only(self):
         c = Circuit((Alloc("x", "H|0>"), Alloc("y", "|1>"), Apply("X", ("x",)), Alloc("z", "|0>")))
         plan = fc.lower(c, {})
-        assert len(plan.prefix) == 2
-        np.testing.assert_allclose(plan.prefix[-1], [0, SQRT_HALF, 0, SQRT_HALF], atol=1e-12)
-        for psi in plan.prefix:
+        assert [op[0] for op in plan.ops] == ["state", "state", "gate", "alloc"]
+        shared = [op[1] for op in plan.ops[:2]]
+        np.testing.assert_allclose(shared[-1], [0, SQRT_HALF, 0, SQRT_HALF], atol=1e-12)
+        for psi in shared:
             assert not psi.flags.writeable
             with pytest.raises(ValueError):
                 psi[0] = 0.0
         first, second = (list(fc.iter_steps(plan, {}, seed)) for seed in (0, 1))
-        assert first[1].state is second[1].state is plan.prefix[1]
+        assert first[1].state is second[1].state is shared[1]
         assert first[-1].state.flags.writeable
 
 
