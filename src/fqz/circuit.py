@@ -126,11 +126,22 @@ class Circuit:
         return len(self.instructions)
 
 
+def _check_operands(index: int, what: str, arity: int, targets: tuple[str, ...], declared: list[str]) -> None:
+    if len(targets) != arity:
+        raise CircuitError(index, f"{what} has arity {arity} but got {len(targets)} target(s)")
+    for q in targets:
+        if q not in declared:
+            raise CircuitError(index, f"undeclared qubit {q!r}")
+    if len(set(targets)) != len(targets):
+        raise CircuitError(index, f"{what} targets qubit {targets[0]!r} twice")
+
+
 def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> None:
     """Static checks, run before execution: declaration before use, no
     double allocation, register cap, known allocation kets, built-in gate
-    names with an angle exactly where one is needed, every oracle name
-    resolvable."""
+    names with a finite angle exactly where one is needed, every oracle
+    name resolvable, and as many distinct operands as the gate or oracle
+    acts on."""
     declared: list[str] = []
     for i, ins in enumerate(circuit.instructions):
         if isinstance(ins, Alloc):
@@ -146,15 +157,11 @@ def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> None:
                 gates.validate_gate_args(ins.gate, ins.parameter)
             except ValueError as exc:
                 raise CircuitError(i, str(exc)) from None
-            for q in ins.targets:
-                if q not in declared:
-                    raise CircuitError(i, f"undeclared qubit {q!r}")
+            _check_operands(i, f"gate {ins.gate}", gates.gate_arity(ins.gate), ins.targets, declared)
         elif isinstance(ins, ApplyOracle):
             if ins.oracle not in oracles:
                 raise CircuitError(i, f"unresolved oracle name {ins.oracle!r}")
-            for q in (ins.control, ins.register):
-                if q not in declared:
-                    raise CircuitError(i, f"undeclared qubit {q!r}")
+            _check_operands(i, f"oracle N[{ins.oracle}]", 2, (ins.control, ins.register), declared)
         elif isinstance(ins, Measure):
             if ins.name not in declared:
                 raise CircuitError(i, f"undeclared qubit {ins.name!r}")

@@ -182,9 +182,8 @@ def pauli_x() -> Gate:
 
 def phase_shift(phi: float) -> Gate:
     """R(phi): leaves |0> alone and multiplies |1> by e^(i*phi)."""
+    validate_gate_args("R", phi)
     phi = float(phi)
-    if not math.isfinite(phi):
-        raise ValueError(f"phase angle must be finite, got {phi!r}")
     phase = cmath.exp(1j * phi)
     mapping = BasisMapping(1, (("0", ket("0")), ("1", ket("1", phase))))
     matrix = as_matrix([[1, 0], [0, phase]])
@@ -239,14 +238,26 @@ _FIXED_GATES = {
 
 def validate_gate_args(name: str, parameter: float | None) -> None:
     """Raise ValueError unless `name` is a built-in gate and `parameter` is
-    given exactly when the gate takes an angle (only R does). Builds nothing."""
+    given exactly when the gate takes an angle (only R does, and it must be
+    finite). Builds nothing."""
     if name == "R":
         if parameter is None:
             raise ValueError("gate R requires an angle parameter")
+        try:
+            angle = float(parameter)
+        except (TypeError, ValueError):
+            raise ValueError(f"gate R needs a real angle, got {parameter!r}") from None
+        if not math.isfinite(angle):
+            raise ValueError(f"phase angle must be finite, got {angle!r}")
     elif parameter is not None:
         raise ValueError(f"gate {name} takes no parameter")
     elif name not in _FIXED_GATES:
         raise ValueError(f"unknown gate name {name!r}")
+
+
+def gate_arity(name: str) -> int:
+    """Number of qubits the built-in gate `name` acts on."""
+    return 2 if name == "CNOT" else 1
 
 
 def gate(name: str, parameter: float | None = None) -> Gate:

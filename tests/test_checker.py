@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fqz import checker, gates, lang
+from fqz import checker, gates, lang, state
 from fqz.circuit import OracleFn
 from fqz.lang import AllocStmt, MeasureStmt, OracleDecl, Program
 
@@ -152,10 +152,21 @@ class TestCheckProgram:
         report = checker.check_program(lang.parse_source(src))
         assert report.overall
 
-    def test_execution_failure_becomes_fail_entry(self):
-        # N applied to one qubit twice: scoping is fine, execution is not
-        p = lang.parse_source("oracle f = id\nqubit x = |0>\nN[f] x x")
+    def test_execution_failure_becomes_fail_entry(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("kernel fault")
+
+        monkeypatch.setattr(state, "apply_gate", broken)
+        p = lang.parse_source("qubit x = |0>\nH x")
         rules = by_rule(checker.check_program(p))
         assert rules["PROG-SCOPE"].passed
         assert not rules["PROG-NORM"].passed
-        assert "failed" in rules["PROG-NORM"].detail
+        assert rules["PROG-NORM"].detail == "execution failed: kernel fault"
+
+    def test_oracle_on_one_qubit_fails_scope(self):
+        # N applied to one qubit twice is rejected before anything runs
+        p = lang.parse_source("oracle f = id\nqubit x = |0>\nN[f] x x")
+        rules = by_rule(checker.check_program(p))
+        assert not rules["PROG-SCOPE"].passed
+        assert rules["PROG-SCOPE"].detail == "statement 1: oracle N[f] targets qubit 'x' twice"
+        assert rules["PROG-NORM"].detail == "skipped: scoping failed"

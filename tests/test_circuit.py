@@ -110,6 +110,25 @@ class TestValidation:
                 next(steps)
 
 
+class TestOperandValidation:
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (Apply("X", ("x", "y")), "gate X has arity 1 but got 2 target"),
+            (Apply("CNOT", ("x",)), "gate CNOT has arity 2 but got 1 target"),
+            (Apply("CNOT", ("x", "x")), "gate CNOT targets qubit 'x' twice"),
+            (ApplyOracle("f", "y", "y"), r"oracle N\[f\] targets qubit 'y' twice"),
+            (Apply("R", ("x",), math.inf), "phase angle must be finite, got inf"),
+            (Apply("R", ("x",), math.nan), "phase angle must be finite, got nan"),
+            (Apply("R", ("x",), "half"), "gate R needs a real angle, got 'half'"),
+        ],
+    )
+    def test_rejected_statically_with_index(self, bad, message):
+        c = Circuit((Alloc("x", "|0>"), Alloc("y", "|0>"), bad, Measure("x")))
+        with pytest.raises(CircuitError, match=f"instruction 2: {message}"):
+            fc.validate_circuit(c, {"f": OracleFn.IDENTITY})
+
+
 class TestRunCircuit:
     def test_alloc_order_is_significance_order(self):
         """First Alloc is the most significant qubit: |x y> = |1 0> here."""

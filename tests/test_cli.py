@@ -108,6 +108,14 @@ class TestRun:
         assert out == ""
         assert err == f"{path}:13:1: register cap of 12 qubits exceeded\n"
 
+    def test_oracle_on_one_qubit_is_a_located_error(self, capsys, tmp_path):
+        path = tmp_path / "same.fqz"
+        path.write_text("oracle f = id\nqubit x = |0>\nN[f] x x\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"{path}:3:1: oracle N[f] targets qubit 'x' twice\n"
+
     def test_zero_shots_is_usage_error(self, capsys, deutsch_file):
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", deutsch_file(), "--shots", "0"])
