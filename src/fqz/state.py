@@ -9,7 +9,9 @@ Gate application comes in two routes that must agree:
 
   * apply_gate transposes the state's n-axis tensor so the target axes
     lead, contracts the gate against them with one np.dot (a single
-    zgemm), and transposes back;
+    zgemm), and transposes back. The target checks and the axis orders
+    for a placement are worked out once per (targets, n) and cached as
+    tuples of ints; the state itself is validated on every call;
   * expanded_unitary builds the full 2**n x 2**n matrix from a Kronecker
     product and an explicit basis permutation.
 
@@ -57,24 +59,29 @@ def basis_state(n_qubits: int, index: int) -> np.ndarray:
     return s
 
 
-def _check_targets(g: Gate, targets: Sequence[int], n: int) -> tuple[int, ...]:
-    targets = tuple(int(t) for t in targets)
+def _layout(g: Gate, targets: Sequence[int], n: int) -> tuple:
+    """Checked placement of g on an n-qubit register: (tensor shape, axis
+    order with the targets first, its inverse, 2**arity)."""
+    targets = tuple(targets)
     if len(targets) != g.arity:
-        raise ValueError(f"gate {g.name} has arity {g.arity} but got {len(targets)} target(s) {targets}")
+        found = tuple(map(int, targets))
+        raise ValueError(f"gate {g.name} has arity {g.arity} but got {len(targets)} target(s) {found}")
+    return _cached_layout(targets, n)
+
+
+@functools.cache
+def _cached_layout(targets: tuple, n: int) -> tuple:
+    """_layout's checks and orders, memoised per (targets, n). A raise is
+    not cached, so bad targets fail the same way on every call."""
+    targets = tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubit in {targets}")
     for t in targets:
         if not 0 <= t < n:
             raise ValueError(f"target qubit {t} out of range for a {n}-qubit register")
-    return targets
-
-
-@functools.cache
-def _axis_orders(n: int, targets: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The axis order that puts the targets first, and its inverse."""
     order = targets + tuple(q for q in range(n) if q not in targets)
     inverse = tuple(sorted(range(n), key=order.__getitem__))
-    return order, inverse
+    return (2,) * n, order, inverse, 2 ** len(targets)
 
 
 def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
@@ -84,14 +91,13 @@ def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
     The state tensor is transposed so the target axes lead and flattened
     to a (2**arity, rest) matrix, which the gate multiplies in one np.dot.
     These are the operands np.tensordot would hand to the same zgemm, so
-    the amplitudes are bit-identical to the contraction route."""
+    the amplitudes are bit-identical to the contraction route. The state
+    is validated on every call; the targets are checked, and the axis
+    orders built, on the first call for each (targets, register size)."""
     psi = as_state(state)
-    n = psi.size.bit_length() - 1
-    targets = _check_targets(g, targets, n)
-    order, inverse = _axis_orders(n, targets)
-    t = psi.reshape((2,) * n).transpose(order).reshape(2**g.arity, -1)
-    t = np.dot(np.asarray(g.matrix, dtype=np.complex128), t)
-    return t.reshape((2,) * n).transpose(inverse).reshape(-1)
+    shape, order, inverse, rows = _layout(g, targets, psi.size.bit_length() - 1)
+    t = np.dot(np.asarray(g.matrix, dtype=np.complex128), psi.reshape(shape).transpose(order).reshape(rows, -1))
+    return t.reshape(shape).transpose(inverse).reshape(-1)
 
 
 def expanded_unitary(g: Gate, targets: Sequence[int], n_qubits: int) -> np.ndarray:
@@ -104,10 +110,9 @@ def expanded_unitary(g: Gate, targets: Sequence[int], n_qubits: int) -> np.ndarr
     n = int(n_qubits)
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"register size must be between 1 and {MAX_QUBITS} qubits, got {n}")
-    targets = _check_targets(g, targets, n)
+    order = _layout(g, targets, n)[1]
     dim = 2**n
     big = np.kron(np.asarray(g.matrix, dtype=np.complex128), np.eye(2 ** (n - g.arity), dtype=np.complex128))
-    order = list(targets) + [q for q in range(n) if q not in targets]
     perm = np.zeros((dim, dim), dtype=np.complex128)
     for i in range(dim):
         j = 0
@@ -132,14 +137,15 @@ class MeasurementResult:
 
 
 @functools.cache
-def _one_mask(n: int, target: int) -> np.ndarray:
-    """Read-only mask of the basis indices where qubit `target` is 1.
+def _branch_masks(n: int, target: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only masks of the basis indices where qubit `target` is 0 and 1.
 
-    The masks kept for n qubits take n * 2**n bytes, n/16 of one state."""
-    idx = np.arange(2**n)
-    mask = ((idx >> (n - 1 - target)) & 1) == 1
-    mask.setflags(write=False)
-    return mask
+    The masks kept for n qubits take 2n * 2**n bytes, n/8 of one state."""
+    one = ((np.arange(2**n) >> (n - 1 - target)) & 1) == 1
+    masks = (~one, one)
+    for mask in masks:
+        mask.setflags(write=False)
+    return masks
 
 
 def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
@@ -147,20 +153,23 @@ def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
 
     The outcome is sampled with a splitmix64 generator seeded by `seed`,
     so an identical (state, target, seed) triple always reproduces the
-    same result. The returned post_state has the inconsistent amplitudes
-    zeroed and is renormalized by the square root of the branch
-    probability; the input state is not mutated.
+    same result. A branch with no amplitude is never selected, even on a
+    state whose norm has drifted. The returned post_state has the
+    inconsistent amplitudes zeroed and is renormalized by the square root
+    of the branch probability; the input state is not mutated.
     """
     psi = as_state(state)
     n = psi.size.bit_length() - 1
     if not 0 <= target < n:
         raise ValueError(f"target qubit {target} out of range for a {n}-qubit register")
-    one_mask = _one_mask(n, target)
-    p_one = float(np.sum(np.abs(psi[one_mask]) ** 2))
+    masks = _branch_masks(n, target)
+    p_one = float(np.sum(np.abs(psi[masks[1]]) ** 2))
     u = SplitMix64(seed).next_float()
     bit = 1 if u < p_one else 0
+    if bit == 0 and p_one > 0 and not psi[masks[0]].any():
+        bit = 1  # a drifted state can leave the sampled branch empty
     prob = p_one if bit == 1 else 1.0 - p_one
     post = psi.copy()
-    post[one_mask != (bit == 1)] = 0.0
+    post[masks[1 - bit]] = 0.0
     post /= np.sqrt(prob)
     return MeasurementResult(bit, post, prob)

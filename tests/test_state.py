@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fqz import gates, state
 from fqz.circuit import OracleFn, oracle_gate
+from fqz.rng import SplitMix64
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -77,6 +78,53 @@ class TestApplyGate:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             state.apply_gate(state.basis_state(2, 0), gates.pauli_x(), [2])
+
+    @pytest.mark.parametrize(
+        "g, targets, message",
+        [
+            (gates.cnot(), [0], "gate CNOT has arity 2 but got 1 target(s) (0,)"),
+            (gates.pauli_x(), (np.int64(1), 0), "gate X has arity 1 but got 2 target(s) (1, 0)"),
+            (gates.cnot(), [1, 1], "duplicate target qubit in (1, 1)"),
+            (gates.pauli_x(), [2], "target qubit 2 out of range for a 2-qubit register"),
+            (gates.cnot(), (0, -1), "target qubit -1 out of range for a 2-qubit register"),
+        ],
+    )
+    def test_bad_targets_fail_the_same_way_every_call(self, g, targets, message):
+        for _ in range(3):
+            with pytest.raises(ValueError) as exc:
+                state.apply_gate(state.basis_state(2, 0), g, targets)
+            assert str(exc.value) == message
+
+    def test_targets_valid_on_a_wider_register_are_still_checked(self):
+        x = gates.pauli_x()
+        state.apply_gate(state.basis_state(3, 0), x, (2,))
+        with pytest.raises(ValueError, match="target qubit 2 out of range for a 2-qubit register"):
+            state.apply_gate(state.basis_state(2, 0), x, (2,))
+
+    def test_target_container_does_not_change_the_bytes(self):
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        g = gates.cnot()
+        outs = {
+            state.apply_gate(psi, g, targets).tobytes()
+            for targets in ([2, 0], (2, 0), np.array([2, 0]), (np.int64(2), np.int64(0)))
+        }
+        assert len(outs) == 1
+
+    def test_cached_layouts_hold_no_arrays(self):
+        """The cache keeps only tuples of ints per placement, never index arrays."""
+
+        def ints_only(value):
+            if isinstance(value, tuple):
+                return all(ints_only(v) for v in value)
+            return type(value) is int
+
+        for n in range(1, state.MAX_QUBITS + 1):
+            g = gates.cnot() if n > 1 else gates.hadamard()
+            for targets in itertools.permutations(range(n), g.arity):
+                state.apply_gate(state.basis_state(n, 0), g, targets)
+                assert ints_only(state._cached_layout(targets, n))
+                assert ints_only(state._cached_layout(tuple(np.int64(t) for t in targets), n))
 
     @pytest.mark.parametrize("g", ONE_QUBIT_GATES, ids=lambda g: f"{g.name}-{g.parameter}")
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -234,6 +282,31 @@ class TestMeasureQubit:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             state.measure_qubit(state.basis_state(1, 0), 1, seed=0)
+
+    def test_never_selects_an_empty_branch(self):
+        """[0, 0.9] has p(1) = 0.81 and no bit-0 amplitude: every seed gives 1."""
+        for seed in range(200):
+            r = state.measure_qubit([0, 0.9], 0, seed)
+            assert r.bit == 1
+            assert r.probability == 0.9 * 0.9
+            np.testing.assert_allclose(r.post_state, [0, 1], atol=1e-15)
+
+    def test_drifted_states_with_two_nonempty_branches_keep_their_bytes(self):
+        """Where the sampled branch holds amplitude, the outcome is the plain
+        sample: bit 1 iff u < p(1), post-state divided by sqrt(p(branch))."""
+        rng = np.random.default_rng(17)
+        for seed in range(200):
+            n = 1 + seed % 4
+            psi = (rng.normal(size=2**n) + 1j * rng.normal(size=2**n)) * rng.uniform(0.3, 1.0) / 2**n
+            target = seed % n
+            r = state.measure_qubit(psi, target, seed)
+            ones = ((np.arange(2**n) >> (n - 1 - target)) & 1) == 1
+            p_one = float(np.sum(np.abs(psi[ones]) ** 2))
+            bit = 1 if SplitMix64(seed).next_float() < p_one else 0
+            prob = p_one if bit else 1.0 - p_one
+            post = np.where(ones == bool(bit), psi, 0) / np.sqrt(prob)
+            assert (r.bit, r.probability) == (bit, prob)
+            assert r.post_state.tobytes() == post.tobytes()
 
 
 class TestValidation:
