@@ -1,8 +1,11 @@
 import json
+import random
 
 import pytest
 
 from fqz import cli, lang
+
+from fuzz_programs import mutate, random_program
 
 
 @pytest.fixture
@@ -190,3 +193,49 @@ class TestUsage:
         broken.write_text("qubit = |0>\n", encoding="utf-8")
         assert cli.main(["check", str(broken)]) == 2
         capsys.readouterr()
+
+
+class TestFuzz:
+    """No source or flag makes the CLI leave its exit-code contract or
+    print a traceback; argparse's usage errors arrive as SystemExit(2)."""
+
+    @staticmethod
+    def run_any(capsys, argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, code, out, err)
+        assert "Traceback" not in out + err, argv
+        return code
+
+    def test_mutated_programs(self, capsys, tmp_path):
+        rng = random.Random(20261018)
+        path = tmp_path / "fuzz.fqz"
+        codes = set()
+        for i in range(300):
+            source = random_program(rng, max_qubits=13, max_statements=rng.choice((6, 24, 90)))
+            for _ in range(rng.randint(0, 3)):
+                source = mutate(source, rng)
+            path.write_text(source, encoding="utf-8")
+            fmt = rng.choice(("text", "json"))
+            if i % 2:
+                argv = ["check", str(path), "--format", fmt]
+            else:
+                argv = ["run", str(path), "--format", fmt, "--shots", str(rng.randint(1, 3)), "--seed", str(i)]
+            codes.add(self.run_any(capsys, argv))
+        assert codes == {0, 1, 2}
+
+    def test_odd_flags_and_inputs(self, capsys, tmp_path, deutsch_file):
+        program = deutsch_file("id")
+        binary = tmp_path / "binary.fqz"
+        binary.write_bytes(b"qubit x = |0>\n\xff\xfe\x80measure x\n")
+        for seed in ("-1", "0x10", str(2**64), "1e3"):
+            self.run_any(capsys, ["run", program, "--seed", seed])
+            self.run_any(capsys, ["deutsch", "--oracle", "id", "--seed", seed])
+        assert self.run_any(capsys, ["run", program, "--seed", "0x10"]) == 0
+        assert self.run_any(capsys, ["run", program, "--shots", "0"]) == 2
+        for path in (str(binary), str(tmp_path), str(tmp_path / "missing.fqz")):
+            for command in ("check", "run"):
+                assert self.run_any(capsys, [command, path]) == 2
