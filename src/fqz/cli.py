@@ -68,13 +68,11 @@ def _read_program(path: str) -> lang.Program:
     return lang.parse_source(text)
 
 
-def _sig12(x: float) -> float:
-    """Round to 12 significant digits for serialization."""
-    return float(f"{x:.12g}")
-
-
 def _amplitude_rows(state) -> list[list[float]]:
-    return [[_sig12(a.real), _sig12(a.imag)] for a in state]
+    """[re, im] of each amplitude, rounded to 12 significant digits for
+    serialization."""
+    parts = iter(state.view(float).tolist())  # re, im, re, im, ... as Python floats
+    return [[float(f"{re:.12g}"), float(f"{im:.12g}")] for re, im in zip(parts, parts)]
 
 
 def _gates_used(program: lang.Program):

@@ -7,18 +7,23 @@ qubits (4096 amplitudes); everything is dense.
 
 Gate application comes in two routes that must agree:
 
-  * apply_gate transposes the state's n-axis tensor so the target axes
-    lead, contracts the gate against them with one np.dot (a single
-    zgemm), and transposes back. The target checks and the axis orders
+  * apply_gate transposes the state tensor so the target axes lead,
+    contracts the gate against them with one np.dot (a single zgemm),
+    and transposes back. Qubit axes that stay adjacent and in order under
+    that permutation are merged first, so a k-qubit gate moves a tensor
+    of at most 2k+1 axes, not n. The target checks and the merged layout
     for a placement are worked out once per (targets, n) and cached as
     tuples of ints; the state itself is validated on every call;
   * expanded_unitary builds the full 2**n x 2**n matrix from a Kronecker
     product and an explicit basis permutation.
 
 The second is the brute-force reference the first is tested against.
+measure_qubit reads the two branches of a qubit as strided views of the
+state, (2**target, 2, rest)[:, bit, :], with no index arrays.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,7 +44,10 @@ def as_state(data) -> np.ndarray:
     n = int(s.size).bit_length() - 1
     if s.size != 2**n:
         raise ValueError(f"amplitude vector length must be a power of two, got {s.size}")
-    if not np.isfinite(s).all():
+    # A finite s.s implies finite amplitudes. On inf, nan or an overflow
+    # of s.s (which numpy reports as a RuntimeWarning), the exact
+    # elementwise test decides.
+    if not cmath.isfinite(s.dot(s)) and not np.isfinite(s).all():
         raise ValueError("amplitudes must be finite")
     return s
 
@@ -60,8 +68,7 @@ def basis_state(n_qubits: int, index: int) -> np.ndarray:
 
 
 def _layout(g: Gate, targets: Sequence[int], n: int) -> tuple:
-    """Checked placement of g on an n-qubit register: (tensor shape, axis
-    order with the targets first, its inverse, 2**arity)."""
+    """Checked placement of g on an n-qubit register; see _cached_layout."""
     targets = tuple(targets)
     if len(targets) != g.arity:
         found = tuple(map(int, targets))
@@ -72,7 +79,14 @@ def _layout(g: Gate, targets: Sequence[int], n: int) -> tuple:
 @functools.cache
 def _cached_layout(targets: tuple, n: int) -> tuple:
     """_layout's checks and orders, memoised per (targets, n). A raise is
-    not cached, so bad targets fail the same way on every call."""
+    not cached, so bad targets fail the same way on every call.
+
+    Returns (order, shape, axes, moved, inverse, 2**arity): order lists
+    the qubits with the targets first. Each run of qubits that stays
+    adjacent and in order under it becomes one axis, so the state
+    reshaped to `shape` and transposed by `axes` is the same tensor,
+    of shape `moved`, as the n-axis one transposed by `order`; `inverse`
+    undoes `axes`."""
     targets = tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubit in {targets}")
@@ -80,8 +94,18 @@ def _cached_layout(targets: tuple, n: int) -> tuple:
         if not 0 <= t < n:
             raise ValueError(f"target qubit {t} out of range for a {n}-qubit register")
     order = targets + tuple(q for q in range(n) if q not in targets)
-    inverse = tuple(sorted(range(n), key=order.__getitem__))
-    return (2,) * n, order, inverse, 2 ** len(targets)
+    runs = []  # [first qubit, length] of each run, in the order of `order`
+    for q in order:
+        if runs and runs[-1][0] + runs[-1][1] == q:
+            runs[-1][1] += 1
+        else:
+            runs.append([q, 1])
+    starts = sorted(first for first, _ in runs)
+    axes = tuple(starts.index(first) for first, _ in runs)
+    shape = tuple(2**size for _, size in sorted(runs))
+    moved = tuple(2**size for _, size in runs)
+    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+    return order, shape, axes, moved, inverse, 2 ** len(targets)
 
 
 def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
@@ -90,14 +114,16 @@ def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
 
     The state tensor is transposed so the target axes lead and flattened
     to a (2**arity, rest) matrix, which the gate multiplies in one np.dot.
-    These are the operands np.tensordot would hand to the same zgemm, so
-    the amplitudes are bit-identical to the contraction route. The state
-    is validated on every call; the targets are checked, and the axis
-    orders built, on the first call for each (targets, register size)."""
+    Runs of qubit axes the transpose keeps together move as one axis; the
+    transpose only moves data, so the matrix is the one np.tensordot would
+    hand to the same zgemm over all n axes, and the amplitudes are
+    bit-identical to the contraction route. The state is validated on
+    every call; the targets are checked, and the merged layout built, on
+    the first call for each (targets, register size)."""
     psi = as_state(state)
-    shape, order, inverse, rows = _layout(g, targets, psi.size.bit_length() - 1)
-    t = np.dot(np.asarray(g.matrix, dtype=np.complex128), psi.reshape(shape).transpose(order).reshape(rows, -1))
-    return t.reshape(shape).transpose(inverse).reshape(-1)
+    _, shape, axes, moved, inverse, rows = _layout(g, targets, psi.size.bit_length() - 1)
+    t = np.dot(np.asarray(g.matrix, dtype=np.complex128), psi.reshape(shape).transpose(axes).reshape(rows, -1))
+    return t.reshape(moved).transpose(inverse).reshape(-1)
 
 
 def expanded_unitary(g: Gate, targets: Sequence[int], n_qubits: int) -> np.ndarray:
@@ -110,7 +136,7 @@ def expanded_unitary(g: Gate, targets: Sequence[int], n_qubits: int) -> np.ndarr
     n = int(n_qubits)
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"register size must be between 1 and {MAX_QUBITS} qubits, got {n}")
-    order = _layout(g, targets, n)[1]
+    order = _layout(g, targets, n)[0]
     dim = 2**n
     big = np.kron(np.asarray(g.matrix, dtype=np.complex128), np.eye(2 ** (n - g.arity), dtype=np.complex128))
     perm = np.zeros((dim, dim), dtype=np.complex128)
@@ -136,18 +162,6 @@ class MeasurementResult:
     probability: float
 
 
-@functools.cache
-def _branch_masks(n: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only masks of the basis indices where qubit `target` is 0 and 1.
-
-    The masks kept for n qubits take 2n * 2**n bytes, n/8 of one state."""
-    one = ((np.arange(2**n) >> (n - 1 - target)) & 1) == 1
-    masks = (~one, one)
-    for mask in masks:
-        mask.setflags(write=False)
-    return masks
-
-
 def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     """Measure one qubit in the computational basis.
 
@@ -157,19 +171,23 @@ def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     state whose norm has drifted. The returned post_state has the
     inconsistent amplitudes zeroed and is renormalized by the square root
     of the branch probability; the input state is not mutated.
+
+    Branch b is the strided view (2**target, 2, rest)[:, b, :] of the
+    state; raveled, it holds the amplitudes whose target bit is b in
+    ascending index order.
     """
     psi = as_state(state)
     n = psi.size.bit_length() - 1
     if not 0 <= target < n:
         raise ValueError(f"target qubit {target} out of range for a {n}-qubit register")
-    masks = _branch_masks(n, target)
-    p_one = float(np.sum(np.abs(psi[masks[1]]) ** 2))
+    branches = psi.reshape(2**target, 2, -1)
+    p_one = float(np.sum(np.abs(branches[:, 1, :].ravel()) ** 2))
     u = SplitMix64(seed).next_float()
     bit = 1 if u < p_one else 0
-    if bit == 0 and p_one > 0 and not psi[masks[0]].any():
+    if bit == 0 and p_one > 0 and not branches[:, 0, :].any():
         bit = 1  # a drifted state can leave the sampled branch empty
     prob = p_one if bit == 1 else 1.0 - p_one
     post = psi.copy()
-    post[masks[1 - bit]] = 0.0
+    post.reshape(2**target, 2, -1)[:, 1 - bit, :] = 0.0
     post /= np.sqrt(prob)
     return MeasurementResult(bit, post, prob)

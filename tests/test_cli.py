@@ -1,6 +1,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from fqz import cli, lang
@@ -132,6 +133,38 @@ class TestRun:
         payload = json.loads(out)
         assert payload["outcomes"] == {"": 1}
         assert payload["amplitudes"][0][0] == pytest.approx(0.707106781187)
+
+
+class TestAmplitudeRows:
+    """The rows run --format json prints: [re, im] per amplitude, each part
+    rounded to 12 significant digits."""
+
+    @staticmethod
+    def per_element(state):
+        return [[float(f"{a.real:.12g}"), float(f"{a.imag:.12g}")] for a in state]
+
+    def assert_same_json(self, psi):
+        psi = np.asarray(psi, dtype=np.complex128)
+        assert json.dumps(cli._amplitude_rows(psi)) == json.dumps(self.per_element(psi))
+
+    def test_signed_zeros(self):
+        self.assert_same_json([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)] + [0.5j] * 3)
+
+    def test_subnormals(self):
+        tiny = np.nextafter(0.0, 1.0)
+        self.assert_same_json([tiny, -tiny, complex(2.2250738585072014e-308 / 3, -tiny * 7), 1.0])
+
+    def test_values_at_the_exponent_switch(self):
+        edges = [1e-5, 9.99999999999e-5, 1e-4, 0.0001000000000005, 1e12, 999999999999.5, 999999999999.4, 1e11]
+        values = [complex(x, -x) for x in edges] + [complex(-x, x) for x in edges]
+        self.assert_same_json(values)
+
+    @pytest.mark.parametrize("n", [1, 4, 12])
+    def test_random_states(self, n):
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        self.assert_same_json(psi / np.linalg.norm(psi))
+        self.assert_same_json(psi * 10.0 ** rng.integers(-320, 300, size=2**n))
 
 
 class TestDeutsch:

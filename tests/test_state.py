@@ -126,6 +126,23 @@ class TestApplyGate:
                 assert ints_only(state._cached_layout(targets, n))
                 assert ints_only(state._cached_layout(tuple(np.int64(t) for t in targets), n))
 
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_merged_layouts_move_the_same_tensor_in_at_most_2k_plus_1_axes(self, arity):
+        """Merging runs of axes changes how many axes the transpose moves,
+        never which amplitude lands where."""
+        for n in range(arity, state.MAX_QUBITS + 1):
+            psi = np.arange(2**n)
+            for targets in itertools.permutations(range(n), arity):
+                order, shape, axes, moved, inverse, rows = state._cached_layout(targets, n)
+                assert order[:arity] == targets and sorted(order) == list(range(n))
+                assert len(shape) == len(axes) == len(moved) <= 2 * arity + 1
+                assert rows == 2**arity
+                want = psi.reshape((2,) * n).transpose(order)
+                got = psi.reshape(shape).transpose(axes)
+                assert got.shape == moved
+                np.testing.assert_array_equal(got.reshape(-1), want.reshape(-1))
+                np.testing.assert_array_equal(got.reshape(moved).transpose(inverse).reshape(-1), psi)
+
     @pytest.mark.parametrize("g", ONE_QUBIT_GATES, ids=lambda g: f"{g.name}-{g.parameter}")
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_norm_preserved(self, g, n):
@@ -309,6 +326,48 @@ class TestMeasureQubit:
             assert r.post_state.tobytes() == post.tobytes()
 
 
+def mask_measure(psi, target, seed):
+    """The boolean-mask route measure_qubit took before it read the
+    branches as strided views: gather each branch through an index mask,
+    scatter zeros through the other. Reference for bit-identity."""
+    psi = np.asarray(psi, dtype=np.complex128)
+    n = psi.size.bit_length() - 1
+    one = ((np.arange(2**n) >> (n - 1 - target)) & 1) == 1
+    masks = (~one, one)
+    p_one = float(np.sum(np.abs(psi[masks[1]]) ** 2))
+    bit = 1 if SplitMix64(seed).next_float() < p_one else 0
+    if bit == 0 and p_one > 0 and not psi[masks[0]].any():
+        bit = 1
+    prob = p_one if bit == 1 else 1.0 - p_one
+    post = psi.copy()
+    post[masks[1 - bit]] = 0.0
+    post /= np.sqrt(prob)
+    return bit, prob, post
+
+
+class TestMeasureQubitBitIdentity:
+    """measure_qubit must give the mask route's bit, probability and bytes."""
+
+    @pytest.mark.parametrize("n", range(1, state.MAX_QUBITS + 1))
+    def test_every_target(self, n):
+        rng = np.random.default_rng(100 + n)
+        dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        dense /= np.linalg.norm(dense)
+        # zeros of both signs in both parts, beside a few nonzero amplitudes
+        signed = rng.choice([0.0, -0.0, 0.5, -0.25], size=2**n) + 1j * rng.choice([0.0, -0.0, 0.5], size=2**n)
+        signed[0] = -0.0 - 0.0j
+        drifted = dense * (1 + 1e-6)
+        shrunk = dense * 0.9
+        strided = np.repeat(dense, 2)[::2]  # not contiguous in memory
+        for target in range(n):
+            for seed in range(6):
+                for psi in (dense, signed, drifted, shrunk, strided):
+                    r = state.measure_qubit(psi, target, seed)
+                    bit, prob, post = mask_measure(psi, target, seed)
+                    assert (r.bit, r.probability) == (bit, prob), (target, seed)
+                    assert r.post_state.tobytes() == post.tobytes(), (target, seed)
+
+
 class TestValidation:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -317,6 +376,54 @@ class TestValidation:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             state.as_state([float("nan"), 0])
+
+    @pytest.mark.parametrize("n", range(1, state.MAX_QUBITS + 1))
+    def test_rejects_every_non_finite_part_at_every_position(self, n):
+        bad_values = (float("nan"), float("inf"), float("-inf"))
+        for index in sorted({0, 2**n // 2, 2**n - 1}):
+            for value in bad_values:
+                for part in (value, complex(0.0, value)):
+                    psi = np.full(2**n, 0.5 + 0.5j)
+                    psi[index] = part
+                    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                        state.as_state(psi)
+
+    def test_public_calls_reject_non_finite_states(self):
+        psi = np.array([0.5, 0.5, complex(0.5, float("inf")), 0.5])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            state.apply_gate(psi, gates.hadamard(), [0])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            state.measure_qubit(psi, 0, seed=1)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            state.probabilities(psi)
+
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_accepts_finite_states_whose_square_sum_overflows(self, n):
+        big = np.full(2**n, 1e200, dtype=np.complex128)
+        mixed = big * np.where(np.arange(2**n) % 2, -1, 1)
+        imaginary = big * 1j
+        for psi in (big, mixed, imaginary):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.isfinite(psi.dot(psi))
+                out = state.as_state(psi)
+                flipped = state.apply_gate(psi, gates.pauli_x(), [0])
+            assert out.tobytes() == psi.tobytes()
+            assert flipped.tobytes() == psi.reshape(2, -1)[::-1].tobytes()
+
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda k: st.lists(st.complex_numbers(allow_nan=True, allow_infinity=True), min_size=2**k, max_size=2**k)
+        )
+    )
+    @settings(max_examples=200)
+    def test_rejects_exactly_the_non_finite_states(self, values):
+        psi = np.array(values, dtype=np.complex128)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(psi).all():
+                assert state.as_state(psi).tobytes() == psi.tobytes()
+            else:
+                with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+                    state.as_state(psi)
 
     def test_num_qubits(self):
         assert state.num_qubits(state.basis_state(3, 0)) == 3
