@@ -34,6 +34,7 @@ from .linalg import (
     as_matrix,
     conjugate_transpose,
     eigenvalues_2x2,
+    is_hermitian,
     is_unitary,
 )
 
@@ -87,7 +88,7 @@ def check_observable(m, tol: float = DEFAULT_TOL, subject: str = "observable") -
         )
     checks = [CheckResult("OBS-1", "square complex matrix", True, f"shape is {n_rows}x{n_cols}")]
 
-    hermitian = approx_equal(mat, conjugate_transpose(mat), tol)
+    hermitian = is_hermitian(mat, tol)
     max_dev = float(np.abs(mat - conjugate_transpose(mat)).max())
     checks.append(
         CheckResult("OBS-2", "equals conjugate transpose", hermitian, f"max deviation {max_dev:.3e}")

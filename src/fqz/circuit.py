@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -213,8 +213,7 @@ def lower(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> Plan:
     return Plan(circuit, tuple(ops))
 
 
-@dataclass(frozen=True, eq=False)
-class Step:
+class Step(NamedTuple):
     """State of the run after one instruction."""
 
     index: int

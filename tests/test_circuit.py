@@ -184,6 +184,13 @@ class TestRunCircuit:
         for step in fc.iter_steps(c, {"f": OracleFn.NEGATION}, 5):
             assert abs(np.linalg.norm(step.state) - 1.0) <= 1e-9
 
+    def test_step_fields_cannot_be_assigned(self):
+        c = Circuit((Alloc("x", "H|0>"), Measure("x")))
+        for step in fc.iter_steps(c, {}, 5):
+            for field in fc.Step._fields:
+                with pytest.raises(AttributeError):
+                    setattr(step, field, None)
+
 
 class TestRunShots:
     def test_counts_sum_to_shots(self):

@@ -126,6 +126,28 @@ class TestApplyGate:
                 assert ints_only(state._cached_layout(targets, n))
                 assert ints_only(state._cached_layout(tuple(np.int64(t) for t in targets), n))
 
+    def test_gathered_placements_are_cached_small_and_read_only(self):
+        """Placing H and CNOT everywhere on 1-12 qubits caches an index
+        array only for registers of at most GATHER_MAX_QUBITS qubits; each
+        is read-only intp, and all of them take at most 256 KB."""
+        state._gather_index.cache_clear()
+        small = []
+        for n in range(1, state.MAX_QUBITS + 1):
+            psi = state.basis_state(n, 0)
+            for g in (gates.hadamard(), gates.cnot())[: min(n, 2)]:
+                for targets in itertools.permutations(range(n), g.arity):
+                    state.apply_gate(psi, g, targets)
+                    if n <= state.GATHER_MAX_QUBITS:
+                        small.append((targets, n))
+        assert state.GATHER_MAX_QUBITS == 8
+        assert state._gather_index.cache_info().currsize == len(small)
+        indices = [state._gather_index(targets, n) for targets, n in small]
+        assert state._gather_index.cache_info().currsize == len(small)
+        for (targets, n), index in zip(small, indices):
+            assert index.dtype == np.intp and not index.flags.writeable
+            assert sorted(index.ravel()) == list(range(2**n))
+        assert sum(index.nbytes for index in indices) <= 256 * 1024
+
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_merged_layouts_move_the_same_tensor_in_at_most_2k_plus_1_axes(self, arity):
         """Merging runs of axes changes how many axes the transpose moves,
@@ -299,6 +321,12 @@ class TestMeasureQubit:
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             state.measure_qubit(state.basis_state(1, 0), 1, seed=0)
+
+    def test_result_fields_cannot_be_assigned(self):
+        r = state.measure_qubit(state.basis_state(1, 0), 0, seed=0)
+        for field in state.MeasurementResult._fields:
+            with pytest.raises(AttributeError):
+                setattr(r, field, None)
 
     def test_never_selects_an_empty_branch(self):
         """[0, 0.9] has p(1) = 0.81 and no bit-0 amplitude: every seed gives 1."""
