@@ -13,10 +13,8 @@ Gate application comes in two routes that must agree:
     that permutation are merged first, so a k-qubit gate moves a tensor
     of at most 2k+1 axes, not n. The target checks and the merged layout
     for a placement are worked out once per (targets, n) and cached as
-    tuples of ints; the state itself is validated on every call. On
-    registers of at most GATHER_MAX_QUBITS qubits the same matrix is
-    gathered through one cached index array instead, and the product
-    scattered back through it;
+    tuples of ints; the state itself is validated on every call. Small
+    registers gather that matrix through a cached index array instead;
   * expanded_unitary builds the full 2**n x 2**n matrix from a Kronecker
     product and an explicit basis permutation.
 
@@ -125,8 +123,7 @@ def _cached_layout(targets: tuple, n: int) -> tuple:
 def _gather_index(targets: tuple, n: int) -> np.ndarray:
     """Read-only (2**arity, rest) intp array: entry [r, c] is the state
     index that the merged-axis transpose of _cached_layout(targets, n)
-    puts at row r, column c. Cached per (targets, n); apply_gate asks only
-    for registers of at most GATHER_MAX_QUBITS qubits."""
+    puts at row r, column c."""
     _, shape, axes, _, _, rows = _cached_layout(targets, n)
     index = np.arange(2**n, dtype=np.intp).reshape(shape).transpose(axes).reshape(rows, -1)
     index.setflags(write=False)
@@ -143,11 +140,11 @@ def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
     transpose only moves data, so the matrix is the one np.tensordot would
     hand to the same zgemm over all n axes, and the amplitudes are
     bit-identical to the contraction route. On registers of at most
-    GATHER_MAX_QUBITS qubits that matrix is gathered through the cached
-    _gather_index instead, and the product scattered back through it:
-    the same operands for np.dot, with less per-call overhead. The state
-    is validated on every call; the targets are checked, and the layout
-    built, on the first call for each (targets, register size)."""
+    GATHER_MAX_QUBITS qubits the same matrix is gathered through
+    _gather_index, and the product scattered back through it, which costs
+    less per call. The state is validated on every call; the targets are
+    checked, and the layout built, on the first call for each (targets,
+    register size)."""
     psi = as_state(state)
     n = psi.size.bit_length() - 1
     targets = tuple(targets)
