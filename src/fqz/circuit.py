@@ -4,7 +4,10 @@ A circuit is a straight-line instruction list. Alloc grows the register
 by one qubit (allocation order is significance order: the first qubit
 allocated is the most significant), Apply runs a built-in gate by name,
 ApplyOracle runs the two-qubit unitary of a named single-bit function on
-a (control, register) qubit pair, and Measure reads one qubit out.
+a (control, register) qubit pair, and Measure reads one qubit out. These
+four are also the statements lang's parser builds, so each may carry the
+1-based line and column it was parsed from; hand-built ones default to 0,
+and positions never take part in equality or hashing.
 
 Execution is strictly in order. validate_circuit is the one authority on
 whether a circuit is well formed (scoping, allocation kets, gate names and
@@ -20,7 +23,7 @@ and run_circuit take either a Circuit, which they lower first, or a Plan.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple, Union
 
@@ -82,6 +85,8 @@ def oracle_gate(name: str, fn: OracleFn) -> gates.Gate:
 class Alloc:
     name: str
     ket: str  # one of the keys of KET_VECTORS
+    line: int = field(default=0, compare=False)
+    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,8 @@ class Apply:
     gate: str
     targets: tuple[str, ...]
     parameter: float | None = None
+    line: int = field(default=0, compare=False)
+    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -96,11 +103,15 @@ class ApplyOracle:
     oracle: str
     control: str
     register: str
+    line: int = field(default=0, compare=False)
+    column: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class Measure:
     name: str
+    line: int = field(default=0, compare=False)
+    column: int = field(default=0, compare=False)
 
 
 Instruction = Union[Alloc, Apply, ApplyOracle, Measure]

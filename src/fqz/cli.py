@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import checker, lang
-from .circuit import ORACLE_KEYWORDS, deutsch, oracle_gate, run_shots
+from .circuit import ORACLE_KEYWORDS, Apply, deutsch, oracle_gate, run_shots
 from .gates import gate as gate_by_name
 
 DEUTSCH_TOL = 1e-9
@@ -79,7 +79,7 @@ def _gates_used(program: lang.Program):
     seen = set()
     out = []
     for stmt in program.statements:
-        if isinstance(stmt, lang.ApplyStmt):
+        if isinstance(stmt, Apply):
             key = (stmt.gate, stmt.parameter)
             if key not in seen:
                 seen.add(key)

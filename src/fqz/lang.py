@@ -22,9 +22,11 @@ Scoping is enforced while parsing: qubits and oracles must be declared
 before use and may not be declared twice. Parsing is fail-fast; every
 ParseError carries the 1-based line and column of the first violation.
 
-compile_program only lowers: circuit.validate_circuit, the one structural
-authority, judges the result, and its errors come back as CompileErrors
-located at the offending statement.
+The statements are circuit.Alloc, Apply, ApplyOracle and Measure
+instructions, each carrying the line and column it was parsed from, so
+compile_program copies nothing: circuit.validate_circuit, the one
+structural authority, judges the parsed statements as they are, and its
+errors come back as CompileErrors located at the offending statement.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
 
 from . import circuit
 from .circuit import (
@@ -84,8 +85,8 @@ class ParseError(ValueError):
 
 class CompileError(ValueError):
     """A parsed program that is not a valid circuit, located at the offending
-    statement or oracle declaration (line and column are 0 for programs
-    built by hand, which carry no positions)."""
+    statement or oracle declaration (line and column are 0 for one built by
+    hand without a position)."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0, index: int | None = None):
         super().__init__(message if index is None else f"statement {index}: {message}")
@@ -222,40 +223,8 @@ class OracleDecl:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class AllocStmt:
-    name: str
-    ket: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class ApplyStmt:
-    gate: str
-    targets: tuple[str, ...]
-    parameter: float | None = None
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class OracleApplyStmt:
-    oracle: str
-    control: str
-    register: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class MeasureStmt:
-    name: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
-
-
-Stmt = Union[AllocStmt, ApplyStmt, OracleApplyStmt, MeasureStmt]
+Stmt = circuit.Instruction
+AllocStmt, ApplyStmt, OracleApplyStmt, MeasureStmt = Alloc, Apply, ApplyOracle, Measure
 
 
 @dataclass(frozen=True)
@@ -356,7 +325,7 @@ class _Parser:
         self.oracles.add(name.lexeme)
         return OracleDecl(name.lexeme, ORACLE_KEYWORDS[kind.lexeme], start.line, start.column)
 
-    def alloc(self) -> AllocStmt:
+    def alloc(self) -> Alloc:
         start = self.advance()  # "qubit"
         name = self.expect(TokenKind.IDENT, "a qubit name")
         if name.lexeme in self.qubits:
@@ -364,20 +333,20 @@ class _Parser:
         self.expect(TokenKind.EQUALS, "'='")
         ket = self.expect(TokenKind.KET, "a ket literal")
         self.qubits.add(name.lexeme)
-        return AllocStmt(name.lexeme, ket.lexeme, start.line, start.column)
+        return Alloc(name.lexeme, ket.lexeme, start.line, start.column)
 
     def apply(self) -> Stmt:
         gate_tok = self.advance()
         name = gate_tok.lexeme
         if name in SINGLE_QUBIT_GATES:
             target = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
-            return ApplyStmt(name, (target,), None, gate_tok.line, gate_tok.column)
+            return Apply(name, (target,), None, gate_tok.line, gate_tok.column)
         if name == "R":
             self.expect(TokenKind.LPAREN, "'('")
             num = self.expect(TokenKind.NUMBER, "an angle")
             self.expect(TokenKind.RPAREN, "')'")
             target = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
-            return ApplyStmt("R", (target,), _number_value(num), gate_tok.line, gate_tok.column)
+            return Apply("R", (target,), _number_value(num), gate_tok.line, gate_tok.column)
         # N[f] control register
         self.expect(TokenKind.LBRACKET, "'['")
         oracle = self.expect(TokenKind.IDENT, "an oracle name")
@@ -386,12 +355,12 @@ class _Parser:
         self.expect(TokenKind.RBRACKET, "']'")
         control = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
         register = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
-        return OracleApplyStmt(oracle.lexeme, control, register, gate_tok.line, gate_tok.column)
+        return ApplyOracle(oracle.lexeme, control, register, gate_tok.line, gate_tok.column)
 
-    def measure(self) -> MeasureStmt:
+    def measure(self) -> Measure:
         start = self.advance()  # "measure"
         name = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
-        return MeasureStmt(name, start.line, start.column)
+        return Measure(name, start.line, start.column)
 
 
 def _describe(tok: Token) -> str:
@@ -440,15 +409,15 @@ def format_angle(value: float) -> str:
 
 
 def _statement_text(stmt: Stmt) -> str:
-    if isinstance(stmt, AllocStmt):
+    if isinstance(stmt, Alloc):
         return f"qubit {stmt.name} = {stmt.ket}"
-    if isinstance(stmt, ApplyStmt):
+    if isinstance(stmt, Apply):
         if stmt.gate == "R":
             return f"R({format_angle(stmt.parameter)}) {stmt.targets[0]}"
         return f"{stmt.gate} {stmt.targets[0]}"
-    if isinstance(stmt, OracleApplyStmt):
+    if isinstance(stmt, ApplyOracle):
         return f"N[{stmt.oracle}] {stmt.control} {stmt.register}"
-    if isinstance(stmt, MeasureStmt):
+    if isinstance(stmt, Measure):
         return f"measure {stmt.name}"
     raise TypeError(f"not a statement: {stmt!r}")
 
@@ -466,8 +435,9 @@ def pretty_print(program: Program) -> str:
 
 
 def compile_program(program: Program) -> tuple[Circuit, dict[str, OracleFn]]:
-    """Lower to (circuit, oracle table). Statement i becomes instruction i,
-    and circuit.validate_circuit decides whether the result is valid."""
+    """(circuit, oracle table): the statements are the circuit's
+    instructions, and circuit.validate_circuit decides whether they are
+    valid."""
     oracles: dict[str, OracleFn] = {}
     for decl in program.oracle_decls:
         # the oracle table is a dict, which cannot hold the duplicate for
@@ -475,24 +445,13 @@ def compile_program(program: Program) -> tuple[Circuit, dict[str, OracleFn]]:
         if decl.name in oracles:
             raise CompileError(f"duplicate oracle declaration {decl.name!r}", decl.line, decl.column)
         oracles[decl.name] = decl.fn
-    instructions = []
-    for i, stmt in enumerate(program.statements):
-        if isinstance(stmt, AllocStmt):
-            instructions.append(Alloc(stmt.name, stmt.ket))
-        elif isinstance(stmt, ApplyStmt):
-            instructions.append(Apply(stmt.gate, stmt.targets, stmt.parameter))
-        elif isinstance(stmt, OracleApplyStmt):
-            instructions.append(ApplyOracle(stmt.oracle, stmt.control, stmt.register))
-        elif isinstance(stmt, MeasureStmt):
-            instructions.append(Measure(stmt.name))
-        else:
-            raise CompileError(f"not a statement: {stmt!r}", index=i)
-    lowered = Circuit(tuple(instructions))
+    lowered = Circuit(program.statements)
     try:
         circuit.validate_circuit(lowered, oracles)
     except circuit.CircuitError as exc:
-        stmt = program.statements[exc.index]
-        raise CompileError(exc.message, stmt.line, stmt.column, exc.index) from None
+        # a hand-built program may hold a non-instruction, with no position
+        bad = lowered.instructions[exc.index]
+        raise CompileError(exc.message, getattr(bad, "line", 0), getattr(bad, "column", 0), exc.index) from None
     return lowered, oracles
 
 

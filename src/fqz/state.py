@@ -5,20 +5,16 @@ basis order: qubit 0 is the most significant bit of the basis index, so
 for two qubits |xy> sits at index 2x + y. Registers are capped at 12
 qubits (4096 amplitudes); everything is dense.
 
-Gate application comes in two routes that must agree:
-
-  * apply_gate transposes the state tensor so the target axes lead,
-    contracts the gate against them with one np.dot (a single zgemm),
-    and transposes back. Qubit axes that stay adjacent and in order under
-    that permutation are merged first, so a k-qubit gate moves a tensor
-    of at most 2k+1 axes, not n. The target checks and the merged layout
-    for a placement are worked out once per (targets, n) and cached as
-    tuples of ints; the state itself is validated on every call. Small
-    registers gather that matrix through a cached index array instead;
-  * expanded_unitary builds the full 2**n x 2**n matrix from a Kronecker
-    product and an explicit basis permutation.
-
-The second is the brute-force reference the first is tested against.
+apply_gate transposes the state tensor so the target axes lead,
+contracts the gate against them with one np.dot (a single zgemm), and
+transposes back. Qubit axes that stay adjacent and in order under that
+permutation are merged first, so a k-qubit gate moves a tensor of at most
+2k+1 axes, not n. The target checks and the merged layout for a placement
+are worked out once per (targets, n) and cached as tuples of ints; the
+state itself is validated on every call. Small registers gather that
+matrix through a cached index array instead. The tests check it against
+a brute-force reference that builds the full 2**n x 2**n matrix from a
+Kronecker product and an explicit basis permutation.
 measure_qubit reads the two branches of a qubit as strided views of the
 state, (2**target, 2, rest)[:, bit, :], with no index arrays.
 """
@@ -61,10 +57,6 @@ def as_state(data) -> np.ndarray:
     if not cmath.isfinite(s.dot(s)) and not np.isfinite(s).all():
         raise ValueError("amplitudes must be finite")
     return s
-
-
-def num_qubits(state) -> int:
-    return int(as_state(state).size).bit_length() - 1
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
@@ -157,29 +149,6 @@ def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
         return out
     t = np.dot(matrix, psi.reshape(shape).transpose(axes).reshape(rows, -1))
     return t.reshape(moved).transpose(inverse).reshape(-1)
-
-
-def expanded_unitary(g: Gate, targets: Sequence[int], n_qubits: int) -> np.ndarray:
-    """Whole-register matrix for g acting on targets.
-
-    Built the long way round: kron the gate with identities to act on the
-    leading qubits, then conjugate by the permutation matrix that moves
-    the targets to the front. Reference route for apply_gate.
-    """
-    n = int(n_qubits)
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"register size must be between 1 and {MAX_QUBITS} qubits, got {n}")
-    order = _layout(g, targets, n)[0]
-    dim = 2**n
-    big = np.kron(np.asarray(g.matrix, dtype=np.complex128), np.eye(2 ** (n - g.arity), dtype=np.complex128))
-    perm = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        j = 0
-        for pos, q in enumerate(order):
-            bit = (i >> (n - 1 - q)) & 1
-            j |= bit << (n - 1 - pos)
-        perm[j, i] = 1.0
-    return perm.T @ big @ perm
 
 
 def probabilities(state) -> np.ndarray:

@@ -12,6 +12,7 @@ import random
 
 import numpy as np
 
+from brute_force import expanded_unitary
 from fuzz_programs import mutate, random_program
 from fqz import checker, cli, gates, lang, state
 from fqz import circuit as fc
@@ -102,7 +103,7 @@ def test_criterion_6_brute_force_equivalence():
         assignments = [(g, (t,)) for g in one_qubit for t in range(n)]
         assignments += [(gates.cnot(), pair) for pair in itertools.permutations(range(n), 2)]
         for g, targets in assignments:
-            full = state.expanded_unitary(g, targets, n)
+            full = expanded_unitary(g, targets, n)
             for idx in range(2**n):
                 fast = state.apply_gate(state.basis_state(n, idx), g, targets)
                 if float(np.abs(fast - full[:, idx]).max()) > 1e-12:

@@ -135,6 +135,13 @@ class TestCheckProgram:
         assert not rules["PROG-SCOPE"].passed
         assert "skipped" in rules["PROG-NORM"].detail
 
+    def test_non_instruction_fails_scope_without_raising(self):
+        rules = by_rule(checker.check_program(Program((), ("junk",))))
+        assert not rules["PROG-SCOPE"].passed
+        assert rules["PROG-SCOPE"].detail == "statement 0: unknown instruction 'junk'"
+        assert not rules["PROG-NORM"].passed
+        assert rules["PROG-NORM"].detail == "skipped: scoping failed"
+
     def test_double_alloc_fails_scope(self):
         p = Program((), (AllocStmt("q", "|0>"), AllocStmt("q", "|1>")))
         assert not by_rule(checker.check_program(p))["PROG-SCOPE"].passed

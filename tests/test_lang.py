@@ -229,19 +229,32 @@ class TestCompile:
         assert oracles == {"f": fc.OracleFn.CONST0}
 
     def test_statement_order_is_instruction_order(self):
-        lowered = {
-            AllocStmt: fc.Alloc,
-            ApplyStmt: fc.Apply,
-            OracleApplyStmt: fc.ApplyOracle,
-            MeasureStmt: fc.Measure,
-        }
         rng = random.Random(7)
         for _ in range(25):
             p = lang.parse_source(random_program(rng))
             circuit, _ = lang.compile_program(p)
             assert len(circuit.instructions) == len(p.statements)
             for stmt, ins in zip(p.statements, circuit.instructions):
-                assert isinstance(ins, lowered[type(stmt)])
+                assert ins is stmt
+
+    def test_statement_names_alias_the_instructions(self):
+        assert lang.AllocStmt is fc.Alloc
+        assert lang.ApplyStmt is fc.Apply
+        assert lang.OracleApplyStmt is fc.ApplyOracle
+        assert lang.MeasureStmt is fc.Measure
+        assert lang.Stmt is fc.Instruction
+
+    def test_positions_are_ignored_by_equality_and_hashing(self):
+        pairs = [
+            (fc.Alloc("q", "|0>"), fc.Alloc("q", "|0>", line=3, column=5)),
+            (fc.Apply("R", ("q",), 0.5), fc.Apply("R", ("q",), 0.5, line=7, column=1)),
+            (fc.ApplyOracle("f", "a", "b", line=1, column=1), fc.ApplyOracle("f", "a", "b", line=9, column=4)),
+            (fc.Measure("q"), fc.Measure("q", line=2, column=8)),
+        ]
+        for a, b in pairs:
+            assert (a.line, a.column) != (b.line, b.column)
+            assert a == b
+            assert hash(a) == hash(b)
 
     def test_duplicate_oracle_decl_rejected(self):
         p = Program(
@@ -255,6 +268,17 @@ class TestCompile:
         p = Program((), (AllocStmt("q", "|0>"), ApplyStmt("Q", ("q",))))
         with pytest.raises(CompileError, match="unknown gate"):
             lang.compile_program(p)
+
+    def test_hand_built_position_locates_the_error(self):
+        p = Program((), (fc.Alloc("q", "|0>"), fc.Apply("Q", ("q",), line=4, column=2)))
+        with pytest.raises(CompileError, match="unknown gate") as err:
+            lang.compile_program(p)
+        assert (err.value.line, err.value.column) == (4, 2)
+
+    def test_non_instruction_is_a_compile_error_at_the_origin(self):
+        with pytest.raises(CompileError, match="unknown instruction 'junk'") as err:
+            lang.compile_program(Program((), ("junk",)))
+        assert (err.value.line, err.value.column) == (0, 0)
 
     def test_compiled_deutsch_runs_like_the_builtin(self):
         for keyword, fn in fc.ORACLE_KEYWORDS.items():
