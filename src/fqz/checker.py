@@ -7,7 +7,9 @@ never an exception. The ids are part of the output contract:
     OBS-2   observable equals its conjugate transpose
     OBS-3   observable has a real spectrum (real diagonal; for 2x2
             subjects both closed-form eigenvalues are real)
-    GATE-U    gate matrix is unitary both ways round
+    GATE-U    gate matrix is unitary both ways round (a matrix that is
+              not a 2-D array of finite numbers fails here, and GATE-M
+              is skipped)
     GATE-M    gate matrix agrees with its basis-mapping definition
     GATE-INJ  distinct mapping inputs go to distinct states
     PROG-SCOPE  program compiles: circuit.validate_circuit accepts its
@@ -112,32 +114,33 @@ def check_observable(m, tol: float = DEFAULT_TOL, subject: str = "observable") -
 
 
 def check_gate(g: Gate, tol: float = DEFAULT_TOL) -> CheckReport:
-    checks = []
-    unitary = is_unitary(g.matrix, tol)
-    checks.append(
-        CheckResult("GATE-U", f"matrix of {g.name} is unitary", unitary, f"arity {g.arity}")
-    )
-
-    if g.mapping is None:
-        checks.append(
-            CheckResult("GATE-M", f"{g.name} matrix matches its mapping", True, "no mapping given")
-        )
-        checks.append(
-            CheckResult("GATE-INJ", f"mapping of {g.name} is injective", True, "no mapping given")
-        )
-        return CheckReport(g.name, tuple(checks))
-
     try:
-        induced = mapping_to_matrix(g.mapping, tol)
-        consistent = approx_equal(induced, g.matrix, tol)
-        detail = "induced matrix agrees" if consistent else "induced matrix differs"
-    except MappingError as exc:
-        consistent = False
-        detail = str(exc)
+        matrix = as_matrix(g.matrix)
+    except ValueError as exc:
+        matrix = None
+        unitary, detail = False, str(exc)
+    else:
+        unitary, detail = is_unitary(matrix, tol), f"arity {g.arity}"
+    checks = [CheckResult("GATE-U", f"matrix of {g.name} is unitary", unitary, detail)]
+
+    if matrix is None:
+        consistent, detail = False, "skipped: not a matrix"
+    elif g.mapping is None:
+        consistent, detail = True, "no mapping given"
+    else:
+        try:
+            induced = mapping_to_matrix(g.mapping, tol)
+            consistent = approx_equal(induced, matrix, tol)
+            detail = "induced matrix agrees" if consistent else "induced matrix differs"
+        except MappingError as exc:
+            consistent = False
+            detail = str(exc)
     checks.append(CheckResult("GATE-M", f"{g.name} matrix matches its mapping", consistent, detail))
 
-    collision = colliding_inputs(g.mapping, tol)
-    if collision is None:
+    collision = None if g.mapping is None else colliding_inputs(g.mapping, tol)
+    if g.mapping is None:
+        detail = "no mapping given"
+    elif collision is None:
         detail = "all mapping outputs distinct"
     else:
         detail = f"inputs |{collision[0]}> and |{collision[1]}> map to the same state"

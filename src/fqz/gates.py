@@ -3,7 +3,10 @@
 Every built-in gate carries a unitary matrix and, where the gate has a
 natural description as a map on basis states, that description as a
 BasisMapping. mapping_to_matrix recompiles a mapping into the unique
-matrix it induces, so the two definitions cross-check each other.
+matrix it induces, so the two definitions cross-check each other. Input
+labels are distinct kets of one alphabet ({0, 1, +, -} for one qubit, the
+computational basis for two), any 2**arity of which are independent: the
+first 2**arity pairs fix the matrix, and each further pair is checked.
 
 Conventions used everywhere in this package:
   * big-endian qubit order: in a two-qubit label "xy", x is the most
@@ -71,7 +74,7 @@ class KetExpr:
         if len(set(labels)) != len(labels):
             raise ValueError(f"ket expression repeats a label: {labels}")
         norm_sq = sum(abs(amp) ** 2 for amp, _ in self.terms)
-        if abs(norm_sq - 1.0) > DEFAULT_TOL:
+        if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # a NaN amplitude fails here too
             raise ValueError(f"ket expression is not unit norm: |.|^2 = {norm_sq}")
 
     def vector(self, arity: int) -> np.ndarray:
@@ -106,33 +109,26 @@ class BasisMapping:
 def mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Unique matrix U with U|input> = output for every pair of the mapping.
 
-    Inputs may be given in the +/- basis (as Hadamard's are), so the pairs
-    can over-determine U; consistency of every pair with the induced matrix
-    is checked. Mappings that fail to induce a unitary are rejected, and
-    in particular two distinct inputs may not map to the same state.
+    The first 2**arity pairs define U, their inputs being independent (see
+    the module docstring); with fewer the mapping is not total. Any further
+    pair (Hadamard's are quoted in both bases) is held against U, and the
+    first that disagrees is named. Mappings that fail to induce a unitary
+    are rejected, in particular two inputs sent to the same state.
     """
     dim = 2**mapping.arity
     if not mapping.pairs:
         raise MappingError("empty mapping")
-    v_in = np.column_stack([ket_vector(label, mapping.arity) for label, _ in mapping.pairs])
-    v_out = np.column_stack([expr.vector(mapping.arity) for _, expr in mapping.pairs])
-    # Solve from a spanning subset of the inputs, then hold every remaining
-    # (redundant) pair against the induced matrix so blame lands on it.
-    chosen: list[int] = []
-    for idx in range(len(mapping.pairs)):
-        if np.linalg.matrix_rank(v_in[:, chosen + [idx]]) == len(chosen) + 1:
-            chosen.append(idx)
-        if len(chosen) == dim:
-            break
-    if len(chosen) < dim:
+    if len(mapping.pairs) < dim:
         raise MappingError(f"mapping is not total: its {len(mapping.pairs)} input kets do not span dimension {dim}")
-    u = v_out[:, chosen] @ np.linalg.inv(v_in[:, chosen])
-    for idx, (label, expr) in enumerate(mapping.pairs):
-        residual = float(np.abs(u @ v_in[:, idx] - v_out[:, idx]).max())
+    v_in = np.array([ket_vector(label, mapping.arity) for label, _ in mapping.pairs]).T
+    v_out = _output_vectors(mapping)
+    u = v_out[:, :dim] @ np.linalg.inv(v_in[:, :dim])
+    residuals = np.abs(u @ v_in - v_out).max(axis=0)
+    for (label, expr), residual in zip(mapping.pairs, residuals):
         if residual > tol:
             raise MappingError(f"pair |{label}> -> {_expr_text(expr)} is inconsistent with the other pairs")
     if not is_unitary(u, tol):
-        collision = colliding_inputs(mapping, tol)
+        collision = _first_collision(mapping, v_out, tol)
         if collision is not None:
             a, b = collision
             raise MappingError(f"inputs |{a}> and |{b}> map to the same state, so the mapping is not injective")
@@ -143,10 +139,22 @@ def mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.nda
 def colliding_inputs(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> tuple[str, str] | None:
     """The first pair of inputs, in pair order, that the mapping sends to
     the same state (within tol), or None if the mapping is injective."""
-    outputs = [(label, expr.vector(mapping.arity)) for label, expr in mapping.pairs]
-    for (a, out_a), (b, out_b) in itertools.combinations(outputs, 2):
-        if float(np.abs(out_a - out_b).max()) <= tol:
-            return a, b
+    if not mapping.pairs:
+        return None
+    return _first_collision(mapping, _output_vectors(mapping), tol)
+
+
+def _output_vectors(mapping: BasisMapping) -> np.ndarray:
+    """Output vector of every pair of a non-empty mapping, one column each."""
+    return np.array([expr.vector(mapping.arity) for _, expr in mapping.pairs]).T
+
+
+def _first_collision(mapping: BasisMapping, v_out: np.ndarray, tol: float) -> tuple[str, str] | None:
+    """First (i, j), i < j in pair order, whose output columns agree within tol."""
+    gaps = np.abs(v_out[:, :, None] - v_out[:, None, :]).max(axis=0).tolist()
+    for i, j in itertools.combinations(range(len(gaps)), 2):
+        if gaps[i][j] <= tol:
+            return mapping.pairs[i][0], mapping.pairs[j][0]
     return None
 
 

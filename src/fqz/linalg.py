@@ -19,13 +19,17 @@ def _check_tol(tol: float) -> None:
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce to a 2-D complex128 array, rejecting NaN or infinite entries."""
-    m = np.asarray(data, dtype=np.complex128)
+    """Coerce to a 2-D complex128 array; a ValueError rejects NaN, infinite
+    or non-numeric entries."""
+    try:
+        m = np.asarray(data, dtype=np.complex128)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got array of shape {m.shape}")
     if m.size == 0:
         raise ValueError("matrix must be non-empty")
-    if not np.isfinite(m.real).all() or not np.isfinite(m.imag).all():
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -46,20 +50,24 @@ def approx_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
 
 
 def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+    """True iff m is square and equals its adjoint within tol."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return approx_equal(m, conjugate_transpose(m), tol)
+    _check_tol(tol)
+    return float(np.abs(m - m.conj().T).max()) <= tol
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff m·m† and m†·m both equal the identity within tol."""
+    """True iff m·m† and m†·m both equal the identity within tol (False
+    when a product of huge finite entries overflows to inf or NaN)."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
+    _check_tol(tol)
     eye = np.eye(m.shape[0], dtype=np.complex128)
-    mh = conjugate_transpose(m)
-    return approx_equal(m @ mh, eye, tol) and approx_equal(mh @ m, eye, tol)
+    mh = m.conj().T
+    return float(np.abs(m @ mh - eye).max()) <= tol and float(np.abs(mh @ m - eye).max()) <= tol
 
 
 def eigenvalues_2x2(m) -> tuple[complex, complex]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqz import checker, gates, lang, state
 from fqz.circuit import OracleFn
@@ -62,6 +64,10 @@ class TestCheckObservable:
     def test_checking_is_total_on_garbage(self):
         report = checker.check_observable([[float("nan"), 0], [0, 1]])
         assert not report.overall  # no exception raised
+        for garbage in ([["a"]], [[{}]]):
+            rules = by_rule(checker.check_observable(garbage))
+            assert not rules["OBS-1"].passed
+            assert rules["OBS-2"].detail == "skipped: not a matrix"
 
     def test_reports_are_deterministic(self):
         a = checker.check_observable(gates.hadamard().matrix)
@@ -116,6 +122,50 @@ class TestCheckGate:
         g = gates.Gate("ZERO", 1, np.zeros((2, 2), dtype=complex))
         report = checker.check_gate(g)  # must not raise
         assert not report.overall
+
+        # Entries that are not finite fail GATE-U with as_matrix's message
+        # and skip GATE-M; GATE-INJ still reads the mapping.
+        mapping = gates.identity_gate().mapping
+        for bad in (math.nan, math.inf, -math.inf, complex(0, math.inf)):
+            rules = by_rule(checker.check_gate(gates.Gate("G", 1, [[bad, 0], [0, 1]], mapping)))
+            assert (rules["GATE-U"].passed, rules["GATE-U"].detail) == (False, "matrix entries must be finite")
+            assert (rules["GATE-M"].passed, rules["GATE-M"].detail) == (False, "skipped: not a matrix")
+            assert (rules["GATE-INJ"].passed, rules["GATE-INJ"].detail) == (True, "all mapping outputs distinct")
+
+        # Finite, but the product with the adjoint overflows.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rules = by_rule(checker.check_gate(gates.Gate("G", 1, [[1e200, 0], [0, 1]], mapping)))
+        assert (rules["GATE-U"].passed, rules["GATE-U"].detail) == (False, "arity 1")
+        assert (rules["GATE-M"].passed, rules["GATE-M"].detail) == (False, "induced matrix differs")
+        assert rules["GATE-INJ"].passed
+
+
+# Matrices of 1x1 to 4x4, some rows ragged, entries mostly finite numbers
+# but also NaN, infinities, overflow-prone 1e200 and things numpy cannot
+# read as numbers at all.
+_ENTRIES = st.one_of(
+    st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.nan, math.inf, -math.inf, complex(0, math.inf), 1e200, -1e200, "a", {}, None]),
+)
+_MATRICES = st.lists(st.lists(_ENTRIES, min_size=1, max_size=4), min_size=1, max_size=4)
+_MAPPINGS = st.sampled_from([None, gates.identity_gate().mapping, gates.hadamard().mapping, gates.cnot().mapping])
+
+
+class TestTotality:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(deadline=None)
+    @given(_MATRICES, _MAPPINGS)
+    def test_check_gate_never_raises(self, matrix, mapping):
+        arity = 1 if mapping is None else mapping.arity
+        report = checker.check_gate(gates.Gate("G", arity, matrix, mapping))
+        assert [c.rule for c in report.checks] == ["GATE-U", "GATE-M", "GATE-INJ"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(deadline=None)
+    @given(_MATRICES)
+    def test_check_observable_never_raises(self, matrix):
+        report = checker.check_observable(matrix)
+        assert [c.rule for c in report.checks] == ["OBS-1", "OBS-2", "OBS-3"]
 
 
 class TestCheckProgram:

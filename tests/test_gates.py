@@ -1,7 +1,10 @@
+import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+from brute_force import rank_search_colliding_inputs, rank_search_mapping_to_matrix
 
 from fqz import gates
 from fqz.linalg import approx_equal, is_hermitian, is_unitary
@@ -121,10 +124,87 @@ class TestMappingToMatrix:
             gates.mapping_to_matrix(mapping)
 
 
+def _image_kets(w: np.ndarray, arity: int) -> dict[str, gates.KetExpr]:
+    """Each input label's image under w, written over the basis labels."""
+    basis = [format(i, f"0{arity}b") for i in range(2**arity)]
+    inputs = ["0", "1", "+", "-"] if arity == 1 else basis
+    return {
+        label: gates.KetExpr(tuple((complex(a), b) for a, b in zip(w @ gates.ket_vector(label, arity), basis)))
+        for label in inputs
+    }
+
+
+_PHASE = cmath.exp(0.3j)
+# Per arity: every input label, outputs from a fixed ket list, and the
+# images of every input under a phased unitary (consistent mappings).
+_REFERENCE_CASES = {
+    1: (
+        ("0", "1", "+", "-"),
+        (
+            gates.ket("1"),
+            gates.ket("+", _PHASE),
+            gates.ket("0", -1.0),
+            gates.ket("-", 1j),
+            gates.KetExpr(((0.6, "0"), (0.8j, "1"))),
+        ),
+        _image_kets(np.diag([1.0, _PHASE]) @ EXPECTED["H"], 1),
+    ),
+    2: (
+        ("00", "01", "10", "11"),
+        (
+            gates.ket("00"),
+            gates.ket("11", _PHASE),
+            gates.KetExpr(((SQRT_HALF, "01"), (SQRT_HALF * 1j, "10"))),
+            gates.ket("10", -1.0),
+            gates.ket("01"),
+        ),
+        _image_kets(EXPECTED["CNOT"] @ np.kron(EXPECTED["H"], np.diag([1.0, _PHASE])), 2),
+    ),
+}
+
+
+def _outcome(fn, mapping):
+    try:
+        return "matrix", fn(mapping).tobytes()
+    except gates.MappingError as exc:
+        return "error", str(exc)
+
+
+class TestMappingMatchesRankSearch:
+    """mapping_to_matrix takes the first 2**arity pairs where the rank
+    search it replaced chose spanning inputs; both must give the same
+    bytes or the same error on every ordered sequence of distinct inputs."""
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_every_input_sequence(self, arity):
+        labels, kets, images = _REFERENCE_CASES[arity]
+        sequences = [seq for k in range(len(labels) + 1) for seq in itertools.permutations(labels, k)]
+        assert len(sequences) == 65
+        seen = set()
+        for seq in sequences:
+            outputs = [[images[label] for label in seq], [kets[0]] * len(seq)]
+            outputs += [[kets[(i + shift) % len(kets)] for i in range(len(seq))] for shift in range(len(kets))]
+            for outs in outputs:
+                mapping = gates.BasisMapping(arity, tuple(zip(seq, outs)))
+                got = _outcome(gates.mapping_to_matrix, mapping)
+                assert got == _outcome(rank_search_mapping_to_matrix, mapping), mapping
+                assert gates.colliding_inputs(mapping) == rank_search_colliding_inputs(mapping), mapping
+                seen.add(got[1].split(":")[0].split(" |")[0] if got[0] == "error" else "matrix")
+        # every branch of mapping_to_matrix was reached; arity 2 has no
+        # redundant pairs (four basis labels), so none can be inconsistent
+        branches = {"matrix", "empty mapping", "mapping is not total", "inputs", "mapping does not induce a unitary matrix"}
+        assert seen == (branches | {"pair"} if arity == 1 else branches)
+
+
 class TestKetExpr:
     def test_rejects_non_unit_norm(self):
         with pytest.raises(ValueError, match="unit norm"):
             gates.KetExpr(((0.5 + 0j, "0"),))
+
+    @pytest.mark.parametrize("amp", [complex("nan"), complex("nanj"), complex("inf")], ids=str)
+    def test_rejects_non_finite_amplitudes(self, amp):
+        with pytest.raises(ValueError, match="unit norm"):
+            gates.KetExpr(((amp, "0"),))
 
     def test_rejects_repeated_labels(self):
         with pytest.raises(ValueError, match="repeats"):

@@ -39,6 +39,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             linalg.as_matrix([[1, 0], [0, bad]])
 
+    @pytest.mark.parametrize("bad", [{}, object(), "a"], ids=["dict", "object", "str"])
+    def test_rejects_non_numbers_as_value_error(self, bad):
+        with pytest.raises(ValueError):
+            linalg.as_matrix([[1, 0], [0, bad]])
+
 
 class TestConjugateTranspose:
     def test_known_value(self):
@@ -93,6 +98,12 @@ class TestPredicates:
 
     def test_non_square_is_not_unitary(self):
         assert not linalg.is_unitary(np.ones((2, 3)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_product_is_not_unitary(self):
+        # finite entries, but 1e200 squared is inf: not unitary, no exception
+        assert not linalg.is_unitary([[1e200, 0], [0, 1]])
+        assert not linalg.is_unitary([[1e200, 1e200j], [1e200, 1]])
 
 
 class TestEigenvalues2x2:
