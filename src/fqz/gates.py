@@ -21,6 +21,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,14 @@ class BasisMapping:
         if len(set(inputs)) != len(inputs):
             raise ValueError(f"mapping repeats an input ket: {inputs}")
 
+    @cached_property
+    def _outputs(self) -> np.ndarray:
+        """Output vector of every pair, one column each, built once per
+        mapping for mapping_to_matrix and colliding_inputs; read-only."""
+        v_out = np.array([expr.vector(self.arity) for _, expr in self.pairs]).T
+        v_out.setflags(write=False)
+        return v_out
+
 
 def mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Unique matrix U with U|input> = output for every pair of the mapping.
@@ -121,14 +130,14 @@ def mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.nda
     if len(mapping.pairs) < dim:
         raise MappingError(f"mapping is not total: its {len(mapping.pairs)} input kets do not span dimension {dim}")
     v_in = np.array([ket_vector(label, mapping.arity) for label, _ in mapping.pairs]).T
-    v_out = _output_vectors(mapping)
+    v_out = mapping._outputs
     u = v_out[:, :dim] @ np.linalg.inv(v_in[:, :dim])
     residuals = np.abs(u @ v_in - v_out).max(axis=0)
     for (label, expr), residual in zip(mapping.pairs, residuals):
         if residual > tol:
             raise MappingError(f"pair |{label}> -> {_expr_text(expr)} is inconsistent with the other pairs")
     if not is_unitary(u, tol):
-        collision = _first_collision(mapping, v_out, tol)
+        collision = colliding_inputs(mapping, tol)
         if collision is not None:
             a, b = collision
             raise MappingError(f"inputs |{a}> and |{b}> map to the same state, so the mapping is not injective")
@@ -139,18 +148,9 @@ def mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.nda
 def colliding_inputs(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> tuple[str, str] | None:
     """The first pair of inputs, in pair order, that the mapping sends to
     the same state (within tol), or None if the mapping is injective."""
-    if not mapping.pairs:
+    if len(mapping.pairs) < 2:
         return None
-    return _first_collision(mapping, _output_vectors(mapping), tol)
-
-
-def _output_vectors(mapping: BasisMapping) -> np.ndarray:
-    """Output vector of every pair of a non-empty mapping, one column each."""
-    return np.array([expr.vector(mapping.arity) for _, expr in mapping.pairs]).T
-
-
-def _first_collision(mapping: BasisMapping, v_out: np.ndarray, tol: float) -> tuple[str, str] | None:
-    """First (i, j), i < j in pair order, whose output columns agree within tol."""
+    v_out = mapping._outputs
     gaps = np.abs(v_out[:, :, None] - v_out[:, None, :]).max(axis=0).tolist()
     for i, j in itertools.combinations(range(len(gaps)), 2):
         if gaps[i][j] <= tol:

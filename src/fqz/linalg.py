@@ -67,7 +67,7 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     _check_tol(tol)
     eye = np.eye(m.shape[0], dtype=np.complex128)
     mh = m.conj().T
-    return float(np.abs(m @ mh - eye).max()) <= tol and float(np.abs(mh @ m - eye).max()) <= tol
+    return float(np.maximum(np.abs(m @ mh - eye), np.abs(mh @ m - eye)).max()) <= tol
 
 
 def eigenvalues_2x2(m) -> tuple[complex, complex]:

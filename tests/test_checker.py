@@ -112,6 +112,16 @@ class TestCheckGate:
             assert not rules["GATE-INJ"].passed
             assert rules["GATE-INJ"].detail == named
 
+    def test_each_output_vector_is_built_once(self, monkeypatch):
+        # mapping_to_matrix and colliding_inputs share one set of vectors
+        built = []
+        vector = gates.KetExpr.vector
+        monkeypatch.setattr(gates.KetExpr, "vector", lambda self, arity: built.append(self) or vector(self, arity))
+        for g in (gates.hadamard(), gates.cnot()):
+            built.clear()
+            assert checker.check_gate(g).overall
+            assert built == [expr for _, expr in g.mapping.pairs]
+
     def test_gate_without_mapping_passes_vacuously(self):
         g = gates.Gate("BARE", 1, np.eye(2, dtype=complex))
         report = checker.check_gate(g)
