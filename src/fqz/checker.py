@@ -65,6 +65,12 @@ class CheckReport:
         return all(c.passed for c in self.checks)
 
 
+# Huge finite entries overflow to inf or NaN inside the rules, which then
+# fail as they should; numpy's RuntimeWarning about it is noise.
+_quiet = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet
 def check_observable(m, tol: float = DEFAULT_TOL, subject: str = "observable") -> CheckReport:
     try:
         mat = as_matrix(m)
@@ -113,6 +119,7 @@ def check_observable(m, tol: float = DEFAULT_TOL, subject: str = "observable") -
     return CheckReport(subject, tuple(checks))
 
 
+@_quiet
 def check_gate(g: Gate, tol: float = DEFAULT_TOL) -> CheckReport:
     try:
         matrix = as_matrix(g.matrix)

@@ -23,6 +23,7 @@ and run_circuit take either a Circuit, which they lower first, or a Plan.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Mapping, NamedTuple, Union
@@ -72,13 +73,15 @@ def oracle_unitary(fn: OracleFn) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=gates.GATE_CACHE_SIZE)
 def oracle_gate(name: str, fn: OracleFn) -> gates.Gate:
-    """The oracle unitary packaged as a gate, mapping definition included."""
+    """The oracle unitary packaged as a gate, mapping definition included;
+    built once per (name, fn) and shared, so its matrix is read-only."""
     pairs = []
     for x in (0, 1):
         for y in (0, 1):
             pairs.append((f"{x}{y}", gates.ket(f"{x}{fn.evaluate(x) ^ y}")))
-    return gates.Gate(f"N[{name}]", 2, oracle_unitary(fn), gates.BasisMapping(2, tuple(pairs)))
+    return gates.shared(gates.Gate(f"N[{name}]", 2, oracle_unitary(fn), gates.BasisMapping(2, tuple(pairs))))
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,13 @@
 
 Exit codes: 0 success, 1 failed check or verdict, 2 usage/IO/parse error.
 Output for a given (input, shots, seed) is byte-identical across runs.
+main may be called any number of times in one process: it builds its
+argparse parser at the first call and reuses it.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -144,9 +147,11 @@ def cmd_deutsch(oracle: str, seed: int, fmt: str) -> int:
     return 0 if abs(result.probability - 1.0) <= DEUTSCH_TOL else 1
 
 
+_parser = functools.cache(build_parser)  # built at the first main(), then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "check":
             return cmd_check(args.path, args.format)

@@ -18,6 +18,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -268,10 +269,33 @@ def gate_arity(name: str) -> int:
     return 2 if name == "CNOT" else 1
 
 
+# Built gates kept per process by gate() and circuit.oracle_gate: the fixed
+# five plus the most recently used R angles and oracles.
+GATE_CACHE_SIZE = 256
+
+
+def shared(g: Gate) -> Gate:
+    """Make g's matrix read-only, so that every caller can share g."""
+    g.matrix.setflags(write=False)
+    return g
+
+
+@functools.lru_cache(maxsize=GATE_CACHE_SIZE)
+def _built(name: str, angle_hex: str | None) -> Gate:
+    if name == "R":
+        return shared(phase_shift(float.fromhex(angle_hex)))
+    return shared(_FIXED_GATES[name]())
+
+
 def gate(name: str, parameter: float | None = None) -> Gate:
-    """Look up a built-in gate by canonical name."""
+    """Look up a built-in gate by canonical name.
+
+    The Gate is built once per process and shared, so its matrix is
+    read-only. R is keyed by the angle's exact bits (float.hex), so R(-0.0)
+    is never served R(0.0)'s gate, whose parameter has the other sign.
+    """
     validate_gate_args(name, parameter)
-    return phase_shift(parameter) if name == "R" else _FIXED_GATES[name]()
+    return _built(name, None if parameter is None else float(parameter).hex())
 
 
 def builtin_gates() -> tuple[Gate, ...]:

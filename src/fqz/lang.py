@@ -34,6 +34,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import circuit
 from .circuit import (
@@ -63,8 +64,7 @@ class TokenKind(Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     line: int
@@ -99,115 +99,50 @@ KEYWORDS = {"qubit", "oracle", "measure", "const0", "const1", "id", "not"}
 GATE_NAMES = {"I", "X", "Z", "H", "R", "N"}
 SINGLE_QUBIT_GATES = ("I", "X", "Z", "H")
 
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_NUMBER_RE = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_PUNCT = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "=": TokenKind.EQUALS,
-}
+# One match per token: leading blanks, then exactly one named group. The
+# lowercase groups are the lexical errors (a "|" or "H|" that starts no
+# ket literal, a CR without its LF, any other character); a WORD is a
+# keyword, gate name or identifier.
+_TOKEN_RE = re.compile(
+    r"[ \t]*(?:"
+    r"(?P<NEWLINE>\r?\n)|(?P<COMMENT>--[^\r\n]*)"
+    r"|(?P<KET>H\|[01]>|\|[01+-]>)|(?P<bad_ket>H?\|)"
+    r"|(?P<NUMBER>pi(?![A-Za-z0-9_])(?:/[24])?|-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACKET>\[)|(?P<RBRACKET>\])|(?P<EQUALS>=)|(?P<EOF>\Z)"
+    r"|(?P<stray_cr>\r)|(?P<unexpected>[\s\S]))"
+)
+_WORD_KINDS = {**dict.fromkeys(KEYWORDS, TokenKind.KEYWORD), **dict.fromkeys(GATE_NAMES, TokenKind.GATE)}
+_PLAIN_KINDS = {kind.name: kind for kind in TokenKind if kind.name not in ("NEWLINE", "EOF")}
+_KET_ERROR = "expected one of the ket literals |0>, |1>, |+>, |->, H|0>, H|1>"
 
 
 def tokenize(source: str) -> list[Token]:
+    """Tokens of `source`, ending in EOF; a ParseError locates the first
+    character that starts no token. A CRLF lexes as the NEWLINE "\\n"."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c in " \t":
-            i += 1
-            col += 1
-            continue
-        if c == "\r":
-            if i + 1 < n and source[i + 1] == "\n":
-                tokens.append(Token(TokenKind.NEWLINE, "\n", line, col))
-                i += 2
-                line += 1
-                col = 1
-                continue
-            raise ParseError("stray carriage return", line, col)
-        if c == "\n":
-            tokens.append(Token(TokenKind.NEWLINE, "\n", line, col))
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if source.startswith("--", i):
-            j = i
-            while j < n and source[j] not in "\r\n":
-                j += 1
-            tokens.append(Token(TokenKind.COMMENT, source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c == "|":
-            tokens.append(_lex_ket(source, i, line, col))
-            i += 3
-            col += 3
-            continue
-        if c in _PUNCT:
-            tokens.append(Token(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isdigit() or c == "." or (c == "-" and i + 1 < n and (source[i + 1].isdigit() or source[i + 1] == ".")):
-            m = _NUMBER_RE.match(source, i)
-            if m is None:
-                raise ParseError(f"unexpected character {c!r}", line, col)
-            tokens.append(Token(TokenKind.NUMBER, m.group(0), line, col))
-            i = m.end()
-            col += len(m.group(0))
-            continue
-        if c.isalpha() or c == "_":
-            m = _WORD_RE.match(source, i)
-            word = m.group(0)
-            if word == "pi":
-                lexeme = "pi"
-                if source.startswith("pi/2", i):
-                    lexeme = "pi/2"
-                elif source.startswith("pi/4", i):
-                    lexeme = "pi/4"
-                tokens.append(Token(TokenKind.NUMBER, lexeme, line, col))
-                i += len(lexeme)
-                col += len(lexeme)
-                continue
-            if word == "H" and m.end() < n and source[m.end()] == "|":
-                tok = _lex_ket(source, m.end(), line, col, prefix="H")
-                tokens.append(tok)
-                i += len(tok.lexeme)
-                col += len(tok.lexeme)
-                continue
-            if word in KEYWORDS:
-                kind = TokenKind.KEYWORD
-            elif word in GATE_NAMES:
-                kind = TokenKind.GATE
-            else:
-                kind = TokenKind.IDENT
-            tokens.append(Token(kind, word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token(TokenKind.EOF, "", line, col))
-    return tokens
-
-
-def _lex_ket(source: str, bar: int, line: int, col: int, prefix: str = "") -> Token:
-    # bar indexes the '|'; col is the column of the whole lexeme's start.
-    body = source[bar + 1 : bar + 2]
-    close = source[bar + 2 : bar + 3]
-    allowed = "01" if prefix else "01+-"
-    if body not in set(allowed) or close != ">":
-        raise ParseError(
-            "expected one of the ket literals |0>, |1>, |+>, |->, H|0>, H|1>",
-            line,
-            col,
-            expected=[TokenKind.KET],
-        )
-    return Token(TokenKind.KET, f"{prefix}|{body}>", line, col)
+    line, line_start = 1, 0  # line_start: index of the line's first character
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        lexeme = m[group]
+        column = m.start(group) - line_start + 1
+        if group == "WORD":
+            tokens.append(Token(_WORD_KINDS.get(lexeme, TokenKind.IDENT), lexeme, line, column))
+        elif group == "NEWLINE":
+            tokens.append(Token(TokenKind.NEWLINE, "\n", line, column))
+            line, line_start = line + 1, m.end()
+        elif group in _PLAIN_KINDS:
+            tokens.append(Token(_PLAIN_KINDS[group], lexeme, line, column))
+        elif group == "EOF":
+            # after trailing blanks finditer would match the empty end again
+            tokens.append(Token(TokenKind.EOF, "", line, column))
+            return tokens
+        elif group == "stray_cr":
+            raise ParseError("stray carriage return", line, column)
+        elif group == "bad_ket":
+            raise ParseError(_KET_ERROR, line, column, expected=[TokenKind.KET])
+        else:
+            raise ParseError(f"unexpected character {lexeme!r}", line, column)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,36 @@ class TestTotality:
     def test_check_observable_never_raises(self, matrix):
         report = checker.check_observable(matrix)
         assert [c.rule for c in report.checks] == ["OBS-1", "OBS-2", "OBS-3"]
+
+
+class TestHugeFiniteInput:
+    """Entries near 1e200 overflow inside the rules; the checker must stay
+    quiet about it and report exactly what it reports with warnings off."""
+
+    SUBJECTS = {
+        "observable": lambda: checker.check_observable([[1e200, 1e200], [1e200, 1e200]]),
+        "gate": lambda: checker.check_gate(gates.Gate("G", 1, np.array([[1e200, 0], [0, 1]], dtype=np.complex128))),
+    }
+
+    @pytest.mark.parametrize("subject", SUBJECTS)
+    def test_no_warning_and_the_same_report(self, subject):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            quiet = self.SUBJECTS[subject]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loud = self.SUBJECTS[subject]()
+        assert loud == quiet
+        assert not loud.overall
+
+    def test_the_reports(self):
+        obs = by_rule(self.SUBJECTS["observable"]())
+        assert obs["OBS-2"].passed
+        assert not obs["OBS-3"].passed
+        assert obs["OBS-3"].detail.startswith("eigenvalues nan+nanj and nan+nanj")
+        gate = by_rule(self.SUBJECTS["gate"]())
+        assert not gate["GATE-U"].passed
+        assert gate["GATE-U"].detail == "arity 1"
 
 
 class TestCheckProgram:

@@ -228,6 +228,43 @@ class TestUsage:
         capsys.readouterr()
 
 
+class TestRepeatedMain:
+    """main() reuses one parser and the shared gates; nothing a command,
+    a usage error or a parse error leaves behind changes the next output."""
+
+    def test_same_bytes_after_usage_and_parse_errors(self, capsys, deutsch_file, tmp_path):
+        broken = tmp_path / "broken.fqz"
+        broken.write_text("qubit x = |2>\n", encoding="utf-8")
+        commands = (
+            ["check", deutsch_file("id"), "--format", "json"],
+            ["check", deutsch_file("const1")],
+            ["run", deutsch_file("not"), "--shots", "7", "--seed", "3", "--format", "json"],
+            ["deutsch", "--oracle", "id"],
+        )
+        first = [run_cli(capsys, *argv) for argv in commands]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", deutsch_file(), "--shots", "0"])
+        assert exc.value.code == 2
+        usage = capsys.readouterr().err
+        assert [run_cli(capsys, *argv) for argv in commands] == first
+        assert run_cli(capsys, "check", str(broken)) == (2, "", f"{broken}:1:11: {_KET_MESSAGE}\n")
+        assert [run_cli(capsys, *argv) for argv in commands] == first
+        with pytest.raises(SystemExit):
+            cli.main(["run", deutsch_file(), "--shots", "0"])
+        assert capsys.readouterr().err == usage
+
+    def test_the_parser_is_built_once(self, capsys):
+        cli.main(["deutsch", "--oracle", "const0"])
+        cli.main(["deutsch", "--oracle", "not"])
+        capsys.readouterr()
+        assert cli._parser.cache_info().currsize == 1
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli._parser()
+
+
+_KET_MESSAGE = "expected one of the ket literals |0>, |1>, |+>, |->, H|0>, H|1>"
+
+
 class TestFuzz:
     """No source or flag makes the CLI leave its exit-code contract or
     print a traceback; argparse's usage errors arrive as SystemExit(2)."""

@@ -7,6 +7,7 @@ import pytest
 from brute_force import rank_search_colliding_inputs, rank_search_mapping_to_matrix
 
 from fqz import gates
+from fqz.circuit import OracleFn, oracle_gate
 from fqz.linalg import approx_equal, is_hermitian, is_unitary
 
 ATOL = 1e-9
@@ -248,3 +249,49 @@ class TestLookup:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown gate"):
             gates.gate("Q")
+
+
+class TestSharedGates:
+    """gate() and oracle_gate() hand out one read-only Gate per key."""
+
+    def test_one_gate_per_key(self):
+        assert gates.gate("H") is gates.gate("H")
+        assert gates.gate("R", 0.5) is gates.gate("R", 0.5)
+        assert oracle_gate("f", OracleFn.NEGATION) is oracle_gate("f", OracleFn.NEGATION)
+        assert oracle_gate("f", OracleFn.NEGATION) is not oracle_gate("g", OracleFn.NEGATION)
+
+    def test_signed_zero_angles_stay_apart(self):
+        # Whether e^(i*(-0.0)) carries a -0j depends on how the Python
+        # multiplies 1j by -0.0 (3.11 gives 1+0j for both signs); either way
+        # each cached gate must be its fresh build, down to the bytes.
+        plus, minus = gates.gate("R", 0.0), gates.gate("R", -0.0)
+        assert plus is not minus
+        assert math.copysign(1.0, plus.parameter) == 1.0
+        assert math.copysign(1.0, minus.parameter) == -1.0
+        assert plus.matrix.tobytes() == gates.phase_shift(0.0).matrix.tobytes()
+        assert minus.matrix.tobytes() == gates.phase_shift(-0.0).matrix.tobytes()
+
+    @pytest.mark.parametrize("name", ["I", "X", "Z", "H", "CNOT", "R", "oracle"])
+    def test_built_matrices_are_read_only(self, name):
+        if name == "oracle":
+            g = oracle_gate("f", OracleFn.IDENTITY)
+        else:
+            g = gates.gate(name, 1.0 if name == "R" else None)
+        with pytest.raises(ValueError, match="read-only"):
+            g.matrix[0, 0] = 2.0
+
+    def test_hand_built_gates_stay_writable(self):
+        g = gates.phase_shift(0.5)
+        g.matrix[0, 0] = 1.0
+        assert gates.hadamard().matrix.flags.writeable
+        assert gates.hadamard() is not gates.hadamard()
+
+    def test_caches_stay_at_their_bound(self):
+        for i in range(10_000):
+            gates.gate("R", i / 7.0)
+        assert gates._built.cache_info().currsize == gates.GATE_CACHE_SIZE
+        for i in range(gates.GATE_CACHE_SIZE + 10):
+            oracle_gate(f"f{i}", OracleFn.CONST1)
+        assert oracle_gate.cache_info().currsize == gates.GATE_CACHE_SIZE
+        # an evicted key is rebuilt with the same matrix
+        assert gates.gate("R", 0.0).matrix.tobytes() == gates.phase_shift(0.0).matrix.tobytes()

@@ -1,7 +1,12 @@
 import math
 import random
+import re
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzz_programs import mutate, random_program
 from fqz import circuit as fc
@@ -15,8 +20,12 @@ from fqz.lang import (
     OracleDecl,
     ParseError,
     Program,
+    Token,
     TokenKind,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 DEUTSCH_SRC = lang.deutsch_source("const0")
 
@@ -307,3 +316,199 @@ class TestFuzz:
             except ParseError as err:
                 assert err.line >= 1
                 assert err.column >= 1
+
+
+# ---------------------------------------------------------------------------
+# The character-loop lexer lang.tokenize replaced, kept as the reference the
+# one-regex lexer must agree with token for token and error for error.
+
+_REF_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REF_NUMBER_RE = re.compile(r"-?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_REF_PUNCT = {
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    "[": TokenKind.LBRACKET,
+    "]": TokenKind.RBRACKET,
+    "=": TokenKind.EQUALS,
+}
+
+
+def char_loop_tokenize(source):
+    """Step through the source one character at a time. It raises an
+    AttributeError, not a ParseError, on a non-ASCII letter."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(source)
+    while i < n:
+        c = source[i]
+        if c in " \t":
+            i += 1
+            col += 1
+            continue
+        if c == "\r":
+            if i + 1 < n and source[i + 1] == "\n":
+                tokens.append(Token(TokenKind.NEWLINE, "\n", line, col))
+                i += 2
+                line += 1
+                col = 1
+                continue
+            raise ParseError("stray carriage return", line, col)
+        if c == "\n":
+            tokens.append(Token(TokenKind.NEWLINE, "\n", line, col))
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if source.startswith("--", i):
+            j = i
+            while j < n and source[j] not in "\r\n":
+                j += 1
+            tokens.append(Token(TokenKind.COMMENT, source[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c == "|":
+            tokens.append(_ref_ket(source, i, line, col))
+            i += 3
+            col += 3
+            continue
+        if c in _REF_PUNCT:
+            tokens.append(Token(_REF_PUNCT[c], c, line, col))
+            i += 1
+            col += 1
+            continue
+        if c.isdigit() or c == "." or (c == "-" and i + 1 < n and (source[i + 1].isdigit() or source[i + 1] == ".")):
+            m = _REF_NUMBER_RE.match(source, i)
+            if m is None:
+                raise ParseError(f"unexpected character {c!r}", line, col)
+            tokens.append(Token(TokenKind.NUMBER, m.group(0), line, col))
+            i = m.end()
+            col += len(m.group(0))
+            continue
+        if c.isalpha() or c == "_":
+            m = _REF_WORD_RE.match(source, i)
+            word = m.group(0)
+            if word == "pi":
+                lexeme = "pi"
+                if source.startswith("pi/2", i):
+                    lexeme = "pi/2"
+                elif source.startswith("pi/4", i):
+                    lexeme = "pi/4"
+                tokens.append(Token(TokenKind.NUMBER, lexeme, line, col))
+                i += len(lexeme)
+                col += len(lexeme)
+                continue
+            if word == "H" and m.end() < n and source[m.end()] == "|":
+                tok = _ref_ket(source, m.end(), line, col, prefix="H")
+                tokens.append(tok)
+                i += len(tok.lexeme)
+                col += len(tok.lexeme)
+                continue
+            if word in lang.KEYWORDS:
+                kind = TokenKind.KEYWORD
+            elif word in lang.GATE_NAMES:
+                kind = TokenKind.GATE
+            else:
+                kind = TokenKind.IDENT
+            tokens.append(Token(kind, word, line, col))
+            i = m.end()
+            col += len(word)
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(Token(TokenKind.EOF, "", line, col))
+    return tokens
+
+
+def _ref_ket(source, bar, line, col, prefix=""):
+    body = source[bar + 1 : bar + 2]
+    close = source[bar + 2 : bar + 3]
+    allowed = "01" if prefix else "01+-"
+    if body not in set(allowed) or close != ">":
+        raise ParseError(
+            "expected one of the ket literals |0>, |1>, |+>, |->, H|0>, H|1>",
+            line,
+            col,
+            expected=[TokenKind.KET],
+        )
+    return Token(TokenKind.KET, f"{prefix}|{body}>", line, col)
+
+
+def lexed(tokenize, source):
+    """The token stream, or the ParseError's message, location and expected
+    kinds."""
+    try:
+        return tokenize(source)
+    except ParseError as err:
+        return ("ParseError", err.message, err.line, err.column, err.expected)
+
+
+def assert_lexes_like_the_reference(source):
+    assert lexed(lang.tokenize, source) == lexed(char_loop_tokenize, source), repr(source)
+
+
+# The characters either lexer treats specially, a few it rejects, and two
+# non-ASCII digits (one a decimal digit, one only str.isdigit).
+LEXER_ALPHABET = "|>=()[]-_+./\\0123456789eEabfpiqxyzHIRNXZ \t\r\n?#٣²"
+
+
+class TestLexerAgainstReference:
+    @pytest.mark.parametrize("workload", workloads.WORKLOADS)
+    def test_pool_sources_and_their_corruptions(self, workload):
+        rng = random.Random(f"lexer-reference:{workload}")
+        for job in workloads.pool(workload):
+            assert_lexes_like_the_reference(job.source)
+            assert_lexes_like_the_reference(workloads.corrupt(job.source, rng))
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "R(pi/25) q",
+            "R(pix) q",
+            "R(pi/2x) q",
+            "R(pi/4) q\nR(pi/3) q",
+            "qubit a = H|+>",
+            "qubit a = H|",
+            "qubit a = |",
+            "qubit a = |1",
+            "\r",
+            "H x\r",
+            "H x -- note\rX y",
+            "-.",
+            "- 1",
+            "R(-.5) q",
+            "1e999",
+            "R(1e-999) q",
+            "qubit q = |0>\r\nH q -- c\r\n\r\nmeasure q\r\n",
+            "qubit q = |0>\r\nH q\r\n",
+            "",
+            " \t ",
+            "R(٣) q",
+            "R(²) q",
+            "HH|0>",
+            "xH|0>",
+        ],
+    )
+    def test_edge_cases(self, source):
+        assert_lexes_like_the_reference(source)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(alphabet=LEXER_ALPHABET, max_size=40))
+    def test_text_over_the_lexer_alphabet(self, source):
+        assert_lexes_like_the_reference(source)
+
+    @pytest.mark.parametrize("source, column", [("é", 1), ("qubit é = |0>", 7), ("H x\nmeasure xß", 10)])
+    def test_a_non_ascii_letter_is_an_unexpected_character(self, source, column):
+        # the reference raised AttributeError here, which escaped the CLI
+        with pytest.raises(AttributeError):
+            char_loop_tokenize(source)
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            lang.tokenize(source)
+        assert err.value.column == column
+
+    def test_tokens_are_named_tuples(self):
+        tok = lang.tokenize("H x")[0]
+        assert tok == Token(TokenKind.GATE, "H", 1, 1)
+        assert tok._fields == ("kind", "lexeme", "line", "column")
+        with pytest.raises(AttributeError):
+            tok.line = 2
