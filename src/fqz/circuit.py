@@ -9,17 +9,17 @@ four are also the statements lang's parser builds, so each may carry the
 1-based line and column it was parsed from; hand-built ones default to 0,
 and positions never take part in equality or hashing.
 
-Execution is strictly in order. validate_circuit is the one authority on
-whether a circuit is well formed (scoping, allocation kets, gate names and
-angles, the register cap, oracle names): it rejects a bad circuit before
-any instruction runs, with the index of the offending instruction, and
-lang.compile_program and the checker's PROG-SCOPE rule defer to it.
-
-lower resolves a circuit for execution once: it validates it, builds each
-distinct gate and oracle Gate once, turns every qubit name into its
-register index and computes the states the leading run of Allocs leaves.
-The resulting Plan is what every shot of run_shots executes; iter_steps
-and run_circuit take either a Circuit, which they lower first, or a Plan.
+Execution is strictly in order. One walk checks the instructions in turn
+(scoping, allocation kets, gate names and angles, the register cap, oracle
+names, operands) and resolves each one, fetching its shared Gate from
+gates.gate or oracle_gate, so the gates validation checks are the gates
+that run. A bad circuit is rejected before any instruction runs, with the
+index of the first offending instruction. validate_circuit runs the walk
+and drops its result; lang.compile_program and the checker's PROG-SCOPE
+rule defer to it. lower keeps the result, qubit names resolved to register
+indices and gates to Gates, plus the states the leading run of Allocs
+leaves: the Plan every shot of run_shots executes. iter_steps and
+run_circuit take either a Circuit, which they lower first, or a Plan.
 """
 from __future__ import annotations
 
@@ -48,19 +48,14 @@ class OracleFn(Enum):
     NEGATION = "not"
 
     def evaluate(self, x: int) -> int:
-        table = {
-            OracleFn.CONST0: (0, 0),
-            OracleFn.CONST1: (1, 1),
-            OracleFn.IDENTITY: (0, 1),
-            OracleFn.NEGATION: (1, 0),
-        }
-        return table[self][x & 1]
+        return _TRUTH_TABLES[self][x & 1]
 
     @property
     def is_constant(self) -> bool:
         return self.evaluate(0) == self.evaluate(1)
 
 
+_TRUTH_TABLES = {OracleFn.CONST0: (0, 0), OracleFn.CONST1: (1, 1), OracleFn.IDENTITY: (0, 1), OracleFn.NEGATION: (1, 0)}
 ORACLE_KEYWORDS = {fn.value: fn for fn in OracleFn}
 
 
@@ -140,14 +135,63 @@ class Circuit:
         return len(self.instructions)
 
 
-def _check_operands(index: int, what: str, arity: int, targets: tuple[str, ...], declared: list[str]) -> None:
+def _check_operands(index: int, what: str, arity: int, targets: tuple, qubits: dict[str, int]) -> tuple[int, ...]:
+    """The register indices of `targets`, once they are `arity` distinct declared qubits."""
     if len(targets) != arity:
         raise CircuitError(index, f"{what} has arity {arity} but got {len(targets)} target(s)")
     for q in targets:
-        if q not in declared:
+        if q not in qubits:
             raise CircuitError(index, f"undeclared qubit {q!r}")
     if len(set(targets)) != len(targets):
         raise CircuitError(index, f"{what} targets qubit {targets[0]!r} twice")
+    return tuple(qubits[q] for q in targets)
+
+
+def _resolve(i: int, ins: Instruction, qubits: dict[str, int], oracles: Mapping[str, OracleFn]) -> tuple:
+    """Check instruction i against the qubits declared before it and return
+    its op; an Alloc also declares its qubit."""
+    if isinstance(ins, Alloc):
+        if ins.name in qubits:
+            raise CircuitError(i, f"qubit {ins.name!r} allocated twice")
+        if len(qubits) >= state.MAX_QUBITS:
+            raise CircuitError(i, f"register cap of {state.MAX_QUBITS} qubits exceeded")
+        if ins.ket not in KET_VECTORS:
+            raise CircuitError(i, f"unknown allocation ket {ins.ket!r}")
+        qubits[ins.name] = len(qubits)
+        return "alloc", KET_VECTORS[ins.ket]
+    if isinstance(ins, Apply):
+        try:
+            g = gates.gate(ins.gate, ins.parameter)
+        except ValueError as exc:
+            raise CircuitError(i, str(exc)) from None
+        return "gate", g, _check_operands(i, f"gate {ins.gate}", g.arity, ins.targets, qubits)
+    if isinstance(ins, ApplyOracle):
+        if ins.oracle not in oracles:
+            raise CircuitError(i, f"unresolved oracle name {ins.oracle!r}")
+        fn = oracles[ins.oracle]
+        if not isinstance(fn, OracleFn):
+            raise CircuitError(i, f"oracle {ins.oracle!r} is bound to {fn!r}, not an OracleFn")
+        g = oracle_gate(ins.oracle, fn)
+        return "gate", g, _check_operands(i, f"oracle N[{ins.oracle}]", 2, (ins.control, ins.register), qubits)
+    if isinstance(ins, Measure):
+        if ins.name not in qubits:
+            raise CircuitError(i, f"undeclared qubit {ins.name!r}")
+        return "measure", qubits[ins.name]
+    raise CircuitError(i, f"unknown instruction {ins!r}")
+
+
+def _walk(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> list[tuple]:
+    """Check each instruction in order and resolve it to its op:
+    ("alloc", ket vector), ("gate", Gate, target indices) or ("measure",
+    target index). The first rule broken raises its CircuitError."""
+    qubits: dict[str, int] = {}  # name -> register index, in allocation order
+    ops: list[tuple] = []
+    for i, ins in enumerate(circuit.instructions):
+        try:
+            ops.append(_resolve(i, ins, qubits, oracles))
+        except TypeError as exc:  # an unhashable name, ket or gate in a hand-built instruction
+            raise CircuitError(i, f"malformed instruction {ins!r}: {exc}") from None
+    return ops
 
 
 def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> None:
@@ -155,32 +199,8 @@ def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> None:
     double allocation, register cap, known allocation kets, built-in gate
     names with a finite angle exactly where one is needed, every oracle
     name resolvable, and as many distinct operands as the gate or oracle
-    acts on."""
-    declared: list[str] = []
-    for i, ins in enumerate(circuit.instructions):
-        if isinstance(ins, Alloc):
-            if ins.name in declared:
-                raise CircuitError(i, f"qubit {ins.name!r} allocated twice")
-            if len(declared) >= state.MAX_QUBITS:
-                raise CircuitError(i, f"register cap of {state.MAX_QUBITS} qubits exceeded")
-            if ins.ket not in KET_VECTORS:
-                raise CircuitError(i, f"unknown allocation ket {ins.ket!r}")
-            declared.append(ins.name)
-        elif isinstance(ins, Apply):
-            try:
-                gates.validate_gate_args(ins.gate, ins.parameter)
-            except ValueError as exc:
-                raise CircuitError(i, str(exc)) from None
-            _check_operands(i, f"gate {ins.gate}", gates.gate_arity(ins.gate), ins.targets, declared)
-        elif isinstance(ins, ApplyOracle):
-            if ins.oracle not in oracles:
-                raise CircuitError(i, f"unresolved oracle name {ins.oracle!r}")
-            _check_operands(i, f"oracle N[{ins.oracle}]", 2, (ins.control, ins.register), declared)
-        elif isinstance(ins, Measure):
-            if ins.name not in declared:
-                raise CircuitError(i, f"undeclared qubit {ins.name!r}")
-        else:
-            raise CircuitError(i, f"unknown instruction {ins!r}")
+    acts on. This is lower's walk, so it fetches the gates it checks."""
+    _walk(circuit, oracles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,33 +217,16 @@ class Plan:
 
 
 def lower(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> Plan:
-    """Validate `circuit` and resolve it for execution (see Plan)."""
-    validate_circuit(circuit, oracles)
-    index: dict[str, int] = {}
-    built: dict[tuple, gates.Gate] = {}
-    ops: list[tuple] = []
+    """Validate `circuit` and resolve it for execution (see Plan) in one
+    walk; the Gates are the shared ones of gates.gate and oracle_gate."""
+    ops = _walk(circuit, oracles)
     psi = np.ones(1, dtype=np.complex128)  # empty register: a single amplitude
-    for ins in circuit.instructions:
-        if isinstance(ins, Alloc):
-            if len(ops) == len(index):  # every instruction so far was an Alloc
-                psi = np.kron(psi, KET_VECTORS[ins.ket])
-                psi.setflags(write=False)  # every shot shares it
-                ops.append(("state", psi))
-            else:
-                ops.append(("alloc", KET_VECTORS[ins.ket]))
-            index[ins.name] = len(index)
-        elif isinstance(ins, Apply):
-            key = ("gate", ins.gate, ins.parameter)
-            if key not in built:
-                built[key] = gates.gate(ins.gate, ins.parameter)
-            ops.append(("gate", built[key], tuple(index[q] for q in ins.targets)))
-        elif isinstance(ins, ApplyOracle):
-            key = ("oracle", ins.oracle)
-            if key not in built:
-                built[key] = oracle_gate(ins.oracle, oracles[ins.oracle])
-            ops.append(("gate", built[key], (index[ins.control], index[ins.register])))
-        else:
-            ops.append(("measure", index[ins.name]))
+    for i, op in enumerate(ops):
+        if op[0] != "alloc":
+            break
+        psi = np.kron(psi, op[1])
+        psi.setflags(write=False)  # every shot shares it
+        ops[i] = ("state", psi)
     return Plan(circuit, tuple(ops))
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import checker, lang
 from .circuit import ORACLE_KEYWORDS, Apply, deutsch, oracle_gate, run_shots
-from .gates import gate as gate_by_name
+from .gates import gate as gate_by_name, gate_key
 
 DEUTSCH_TOL = 1e-9
 
@@ -79,17 +79,14 @@ def _amplitude_rows(state) -> list[list[float]]:
 
 
 def _gates_used(program: lang.Program):
-    seen = set()
-    out = []
+    """Each distinct built-in gate (by gate_key), in first use order, then the oracles."""
+    used = {}
     for stmt in program.statements:
         if isinstance(stmt, Apply):
-            key = (stmt.gate, stmt.parameter)
-            if key not in seen:
-                seen.add(key)
-                out.append(gate_by_name(stmt.gate, stmt.parameter))
-    for decl in program.oracle_decls:
-        out.append(oracle_gate(decl.name, decl.fn))
-    return out
+            key = gate_key(stmt.gate, stmt.parameter)
+            if key not in used:
+                used[key] = gate_by_name(stmt.gate, stmt.parameter)
+    return [*used.values(), *(oracle_gate(decl.name, decl.fn) for decl in program.oracle_decls)]
 
 
 def cmd_check(path: str, fmt: str) -> int:

@@ -30,8 +30,6 @@ from .linalg import DEFAULT_TOL, as_matrix, is_unitary
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-_SINGLE_LABELS = {"0", "1", "+", "-"}
-
 _LABEL_VECTORS = {
     "0": np.array([1.0, 0.0], dtype=np.complex128),
     "1": np.array([0.0, 1.0], dtype=np.complex128),
@@ -46,7 +44,7 @@ class MappingError(ValueError):
 
 def _check_label(label: str, arity: int) -> None:
     if arity == 1:
-        if label not in _SINGLE_LABELS:
+        if label not in _LABEL_VECTORS:
             raise ValueError(f"bad 1-qubit ket label {label!r}: expected one of 0, 1, +, -")
     else:
         if len(label) != arity or any(c not in "01" for c in label):
@@ -264,11 +262,6 @@ def validate_gate_args(name: str, parameter: float | None) -> None:
         raise ValueError(f"unknown gate name {name!r}")
 
 
-def gate_arity(name: str) -> int:
-    """Number of qubits the built-in gate `name` acts on."""
-    return 2 if name == "CNOT" else 1
-
-
 # Built gates kept per process by gate() and circuit.oracle_gate: the fixed
 # five plus the most recently used R angles and oracles.
 GATE_CACHE_SIZE = 256
@@ -287,15 +280,17 @@ def _built(name: str, angle_hex: str | None) -> Gate:
     return shared(_FIXED_GATES[name]())
 
 
-def gate(name: str, parameter: float | None = None) -> Gate:
-    """Look up a built-in gate by canonical name.
+def gate_key(name: str, parameter: float | None = None) -> tuple[str, str | None]:
+    """The identity of a built-in gate: its name and the exact bits of its
+    angle (float.hex), so R(-0.0) and R(0.0) are two gates."""
+    return name, None if parameter is None else float(parameter).hex()
 
-    The Gate is built once per process and shared, so its matrix is
-    read-only. R is keyed by the angle's exact bits (float.hex), so R(-0.0)
-    is never served R(0.0)'s gate, whose parameter has the other sign.
-    """
+
+def gate(name: str, parameter: float | None = None) -> Gate:
+    """Look up a built-in gate by canonical name. The Gate is built once
+    per gate_key and shared, so its matrix is read-only."""
     validate_gate_args(name, parameter)
-    return _built(name, None if parameter is None else float(parameter).hex())
+    return _built(*gate_key(name, parameter))
 
 
 def builtin_gates() -> tuple[Gate, ...]:

@@ -95,7 +95,7 @@ class CompileError(ValueError):
         self.column = column
 
 
-KEYWORDS = {"qubit", "oracle", "measure", "const0", "const1", "id", "not"}
+KEYWORDS = {"qubit", "oracle", "measure", *ORACLE_KEYWORDS}
 GATE_NAMES = {"I", "X", "Z", "H", "R", "N"}
 SINGLE_QUBIT_GATES = ("I", "X", "Z", "H")
 
@@ -306,13 +306,13 @@ def _describe(tok: Token) -> str:
     return f"{tok.kind.value} {tok.lexeme!r}"
 
 
+# The pi fractions a NUMBER may be written as, and format_angle prints.
+_PI_FRACTIONS = {"pi": math.pi, "pi/2": math.pi / 2.0, "pi/4": math.pi / 4.0}
+
+
 def _number_value(tok: Token) -> float:
-    if tok.lexeme == "pi":
-        return math.pi
-    if tok.lexeme == "pi/2":
-        return math.pi / 2.0
-    if tok.lexeme == "pi/4":
-        return math.pi / 4.0
+    if tok.lexeme in _PI_FRACTIONS:
+        return _PI_FRACTIONS[tok.lexeme]
     value = float(tok.lexeme)
     if not math.isfinite(value):
         raise ParseError(f"number literal {tok.lexeme!r} overflows", tok.line, tok.column)
@@ -334,7 +334,7 @@ def parse_source(source: str) -> Program:
 def format_angle(value: float) -> str:
     """pi fractions when exact to 1e-12, else the shortest faithful decimal
     (9 significant digits unless that would change the value)."""
-    for text, target in (("pi", math.pi), ("pi/2", math.pi / 2.0), ("pi/4", math.pi / 4.0)):
+    for text, target in _PI_FRACTIONS.items():
         if abs(value - target) <= 1e-12:
             return text
     text = f"{value:.9g}"

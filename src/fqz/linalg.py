@@ -13,7 +13,8 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
-def _check_tol(tol: float) -> None:
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless 0 < tol < 1."""
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tolerance must lie in (0, 1), got {tol!r}")
 
@@ -41,7 +42,7 @@ def conjugate_transpose(m) -> np.ndarray:
 
 def approx_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
     """True iff a and b share a shape and agree entrywise within tol."""
-    _check_tol(tol)
+    check_tol(tol)
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape != b.shape:
@@ -54,7 +55,7 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    _check_tol(tol)
+    check_tol(tol)
     return float(np.abs(m - m.conj().T).max()) <= tol
 
 
@@ -64,7 +65,7 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    _check_tol(tol)
+    check_tol(tol)
     eye = np.eye(m.shape[0], dtype=np.complex128)
     mh = m.conj().T
     return float(np.maximum(np.abs(m @ mh - eye), np.abs(mh @ m - eye)).max()) <= tol

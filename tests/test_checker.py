@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqz import checker, gates, lang, state
-from fqz.circuit import OracleFn
+from fqz.circuit import Apply, ApplyOracle, OracleFn
 from fqz.lang import AllocStmt, MeasureStmt, OracleDecl, Program
 
 
@@ -30,6 +30,11 @@ class TestCheckObservable:
         assert not rules["OBS-2"].passed
         assert not rules["OBS-3"].passed
         assert not report.overall
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0])
+    def test_a_tolerance_outside_the_unit_interval_raises(self, tol):
+        with pytest.raises(ValueError, match="tolerance must lie in"):
+            checker.check_observable(np.eye(2), tol=tol)
 
     @pytest.mark.parametrize("phi", [math.pi / 4, math.pi / 2, 3 * math.pi / 4])
     def test_fails_on_proper_phase_gates(self, phi):
@@ -215,6 +220,29 @@ class TestCheckProgram:
         report = checker.check_program(p)
         assert report.overall
         assert [c.rule for c in report.checks] == ["PROG-SCOPE", "PROG-NORM"]
+
+    @pytest.mark.parametrize(
+        "decls, statements, detail",
+        [
+            (
+                (OracleDecl("f", "id"),),
+                (AllocStmt("x", "|0>"), AllocStmt("y", "|0>"), ApplyOracle("f", "x", "y")),
+                "statement 2: oracle 'f' is bound to 'id', not an OracleFn",
+            ),
+            ((), (AllocStmt("x", "|0>"), MeasureStmt(["x"])), "statement 1: malformed instruction"),
+            ((), (AllocStmt(["x"], "|0>"),), "statement 0: malformed instruction"),
+            ((), (AllocStmt("x", ["|0>"]),), "statement 0: malformed instruction"),
+            ((), (AllocStmt("x", "|0>"), Apply(["H"], ("x",))), "statement 1: malformed instruction"),
+        ],
+    )
+    def test_hand_built_ill_typed_programs_fail_scope(self, decls, statements, detail):
+        # the walk builds gates while it validates, so an oracle bound to a
+        # non-function or an unhashable name must be a scope failure, not an
+        # exception
+        rules = by_rule(checker.check_program(Program(decls, statements)))
+        assert not rules["PROG-SCOPE"].passed
+        assert rules["PROG-SCOPE"].detail.startswith(detail)
+        assert rules["PROG-NORM"].detail == "skipped: scoping failed"
 
     def test_empty_program_passes_vacuously(self):
         report = checker.check_program(Program((), ()))

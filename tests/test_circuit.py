@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqz import circuit as fc
 from fqz import gates, lang, state
@@ -224,18 +226,18 @@ class TestRunShots:
 
 class TestLower:
     def test_run_shots_validates_and_builds_each_gate_once(self, monkeypatch):
-        calls = Counter()
+        # lower's walk is the one validation a run makes; every gate it
+        # resolves comes from the gate caches, each distinct key missed once
+        lowered = Counter()
+        lower = fc.lower
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name if name == "validate" else (name, *args)] += 1
-                return fn(*args)
+        def counted_lower(*args):
+            lowered["lower"] += 1
+            return lower(*args)
 
-            return wrapper
-
-        monkeypatch.setattr(fc, "validate_circuit", counted("validate", fc.validate_circuit))
-        monkeypatch.setattr(gates, "gate", counted("gate", gates.gate))
-        monkeypatch.setattr(fc, "oracle_gate", counted("oracle", fc.oracle_gate))
+        monkeypatch.setattr(fc, "lower", counted_lower)
+        gates._built.cache_clear()
+        fc.oracle_gate.cache_clear()
         c = Circuit(
             (
                 Alloc("x", "H|0>"),
@@ -253,13 +255,17 @@ class TestLower:
         )
         oracles = {"f": OracleFn.IDENTITY, "g": OracleFn.NEGATION}
         fc.run_shots(c, oracles, root_seed=1, shots=50)
-        assert calls.pop("validate") == 1
-        assert calls == {
-            ("gate", "H", None): 1,
-            ("gate", "R", 0.5): 1,
-            ("oracle", "f", OracleFn.IDENTITY): 1,
-            ("oracle", "g", OracleFn.NEGATION): 1,
-        }
+        assert lowered == {"lower": 1}
+        built, oracle_built = gates._built.cache_info(), fc.oracle_gate.cache_info()
+        assert (built.misses, built.hits) == (2, 2)  # H and R(0.5), each used twice
+        assert (oracle_built.misses, oracle_built.hits) == (2, 1)  # f twice, g once
+
+    def test_signed_zero_angles_get_their_own_gates(self):
+        c = lang.compile_program(lang.parse_source("qubit q = |0>\nR(0.0) q\nR(-0.0) q\nmeasure q"))[0]
+        plus, minus = (op[1] for op in fc.lower(c, {}).ops if op[0] == "gate")
+        assert plus is not minus
+        assert [math.copysign(1.0, g.parameter) for g in (plus, minus)] == [1.0, -1.0]
+        assert plus is gates.gate("R", 0.0) and minus is gates.gate("R", -0.0)
 
     def test_leading_allocation_states_are_shared_and_read_only(self):
         c = Circuit((Alloc("x", "H|0>"), Alloc("y", "|1>"), Apply("X", ("x",)), Alloc("z", "|0>")))
@@ -343,3 +349,204 @@ class TestEquivalence:
         report = fc.run_circuit(c, {}, seed=9)
         np.testing.assert_array_equal(report.amplitudes, report.pre_measure_states[0])
         np.testing.assert_allclose(fc.pre_measurement_state(c, {}), [SQRT_HALF, SQRT_HALF], atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The two walks validate_circuit and lower made before they shared one, kept
+# as the reference the shared walk must agree with, error for error and op
+# for op. Their only difference from it on valid circuits: lower's built
+# dict keyed R by float equality, so R(-0.0) got R(0.0)'s gate.
+
+
+def _reference_check_operands(index, what, arity, targets, declared):
+    if len(targets) != arity:
+        raise CircuitError(index, f"{what} has arity {arity} but got {len(targets)} target(s)")
+    for q in targets:
+        if q not in declared:
+            raise CircuitError(index, f"undeclared qubit {q!r}")
+    if len(set(targets)) != len(targets):
+        raise CircuitError(index, f"{what} targets qubit {targets[0]!r} twice")
+
+
+def reference_validate_circuit(circuit, oracles):
+    declared = []
+    for i, ins in enumerate(circuit.instructions):
+        if isinstance(ins, Alloc):
+            if ins.name in declared:
+                raise CircuitError(i, f"qubit {ins.name!r} allocated twice")
+            if len(declared) >= state.MAX_QUBITS:
+                raise CircuitError(i, f"register cap of {state.MAX_QUBITS} qubits exceeded")
+            if ins.ket not in fc.KET_VECTORS:
+                raise CircuitError(i, f"unknown allocation ket {ins.ket!r}")
+            declared.append(ins.name)
+        elif isinstance(ins, Apply):
+            try:
+                gates.validate_gate_args(ins.gate, ins.parameter)
+            except ValueError as exc:
+                raise CircuitError(i, str(exc)) from None
+            arity = 2 if ins.gate == "CNOT" else 1
+            _reference_check_operands(i, f"gate {ins.gate}", arity, ins.targets, declared)
+        elif isinstance(ins, ApplyOracle):
+            if ins.oracle not in oracles:
+                raise CircuitError(i, f"unresolved oracle name {ins.oracle!r}")
+            _reference_check_operands(i, f"oracle N[{ins.oracle}]", 2, (ins.control, ins.register), declared)
+        elif isinstance(ins, Measure):
+            if ins.name not in declared:
+                raise CircuitError(i, f"undeclared qubit {ins.name!r}")
+        else:
+            raise CircuitError(i, f"unknown instruction {ins!r}")
+
+
+def reference_lower(circuit, oracles):
+    """The ops lower's second walk resolved, after validating first."""
+    reference_validate_circuit(circuit, oracles)
+    index = {}
+    built = {}
+    ops = []
+    psi = np.ones(1, dtype=np.complex128)
+    for ins in circuit.instructions:
+        if isinstance(ins, Alloc):
+            if len(ops) == len(index):
+                psi = np.kron(psi, fc.KET_VECTORS[ins.ket])
+                psi.setflags(write=False)
+                ops.append(("state", psi))
+            else:
+                ops.append(("alloc", fc.KET_VECTORS[ins.ket]))
+            index[ins.name] = len(index)
+        elif isinstance(ins, Apply):
+            key = ("gate", ins.gate, ins.parameter)
+            if key not in built:
+                built[key] = gates.gate(ins.gate, ins.parameter)
+            ops.append(("gate", built[key], tuple(index[q] for q in ins.targets)))
+        elif isinstance(ins, ApplyOracle):
+            key = ("oracle", ins.oracle)
+            if key not in built:
+                built[key] = fc.oracle_gate(ins.oracle, oracles[ins.oracle])
+            ops.append(("gate", built[key], (index[ins.control], index[ins.register])))
+        else:
+            ops.append(("measure", index[ins.name]))
+    return tuple(ops)
+
+
+def rejection(validate, instructions, oracles):
+    """(index, message) of the CircuitError `validate` raises, or None."""
+    try:
+        validate(Circuit(instructions), oracles)
+    except CircuitError as err:
+        return err.index, err.message
+    return None
+
+
+def op_record(op):
+    """An op as plain data: kind, then state bytes, or the gate's name,
+    angle bits, arity, matrix bytes and targets, or the measured index."""
+    kind, *rest = op
+    if kind in ("state", "alloc"):
+        return kind, rest[0].tobytes(), rest[0].flags.writeable
+    if kind == "gate":
+        g, targets = rest
+        angle = None if g.parameter is None else float(g.parameter).hex()
+        return kind, g.name, angle, g.arity, g.matrix.tobytes(), targets
+    return kind, rest[0]
+
+
+def random_instructions(rng):
+    """The statements and oracle table of a valid random program of 1-12
+    qubits; its first statement allocates."""
+    program = lang.parse_source(random_program(rng, max_qubits=rng.randint(1, 12), max_statements=40))
+    return list(program.statements), {decl.name: decl.fn for decl in program.oracle_decls}
+
+
+def _qubit_names(instructions):
+    return [ins.name for ins in instructions if isinstance(ins, Alloc)]
+
+
+def _insert(make):
+    """A breaker that puts make(rng, qubit names, oracles) after the first
+    Alloc; each breaks the circuit wherever it lands."""
+
+    def breaker(rng, instructions, oracles):
+        k = rng.randint(1, len(instructions))
+        bad = make(rng, _qubit_names(instructions[:k]), oracles)
+        return [*instructions[:k], bad, *instructions[k:]]
+
+    return breaker
+
+
+def _thirteenth_qubit(rng, instructions, oracles):
+    out = list(instructions)
+    for i in range(state.MAX_QUBITS + 1 - len(_qubit_names(out))):
+        out.insert(rng.randint(1, len(out)), Alloc(f"extra{i}", rng.choice(list(fc.KET_VECTORS))))
+    return out
+
+
+def _oracle_on_one_qubit(rng, names, oracles):
+    oracles.setdefault("f", OracleFn.IDENTITY)
+    q = rng.choice(names)
+    return ApplyOracle("f", q, q)
+
+
+BREAKERS = {
+    "duplicate alloc": _insert(lambda rng, names, oracles: Alloc(rng.choice(names), "|0>")),
+    "13th qubit": _thirteenth_qubit,
+    "unknown ket": _insert(lambda rng, names, oracles: Alloc("fresh", rng.choice(["|2>", "H|+>", "0", ""]))),
+    "unknown gate": _insert(lambda rng, names, oracles: Apply(rng.choice(["Q", "h", "N", "RR"]), (rng.choice(names),))),
+    "nan angle": _insert(lambda rng, names, oracles: Apply("R", (rng.choice(names),), math.nan)),
+    "string angle": _insert(lambda rng, names, oracles: Apply("R", (rng.choice(names),), "half")),
+    "wrong arity": _insert(
+        lambda rng, names, oracles: rng.choice(
+            [Apply("X", (names[0], names[-1])), Apply("CNOT", (names[0],)), Apply("R", (), 0.5)]
+        )
+    ),
+    "duplicate operands": _insert(
+        lambda rng, names, oracles: rng.choice(
+            [Apply("CNOT", (names[0], names[0])), _oracle_on_one_qubit(rng, names, oracles)]
+        )
+    ),
+    "unresolved oracle": _insert(lambda rng, names, oracles: ApplyOracle("nope", names[0], names[-1])),
+    "undeclared measure": _insert(lambda rng, names, oracles: Measure("nope")),
+    "junk instruction": _insert(lambda rng, names, oracles: rng.choice(["H q0", None, ("measure", "q0"), object()])),
+}
+
+
+class TestWalkAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.sampled_from(sorted(BREAKERS)))
+    def test_broken_circuits_raise_the_same_error(self, seed, breaker):
+        rng = random.Random(seed)
+        instructions, oracles = random_instructions(rng)
+        broken = BREAKERS[breaker](rng, instructions, oracles)
+        expected = rejection(reference_validate_circuit, broken, oracles)
+        assert expected is not None
+        assert rejection(fc.validate_circuit, broken, oracles) == expected
+        assert rejection(fc.lower, broken, oracles) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_valid_circuits_lower_to_the_same_ops(self, seed):
+        instructions, oracles = random_instructions(random.Random(seed))
+        circuit = Circuit(instructions)
+        assert fc.validate_circuit(circuit, oracles) is None
+        expected = [op_record(op) for op in reference_lower(circuit, oracles)]
+        assert [op_record(op) for op in fc.lower(circuit, oracles).ops] == expected
+
+    def test_every_breaker_breaks_the_rule_it_names(self):
+        messages = {
+            "duplicate alloc": "allocated twice",
+            "13th qubit": "register cap",
+            "unknown ket": "unknown allocation ket",
+            "unknown gate": "unknown gate name",
+            "nan angle": "phase angle must be finite, got nan",
+            "string angle": "gate R needs a real angle, got 'half'",
+            "wrong arity": "has arity",
+            "duplicate operands": "twice",
+            "unresolved oracle": "unresolved oracle name 'nope'",
+            "undeclared measure": "undeclared qubit 'nope'",
+            "junk instruction": "unknown instruction",
+        }
+        assert set(messages) == set(BREAKERS)
+        for breaker, message in messages.items():
+            rng = random.Random(breaker)
+            instructions, oracles = random_instructions(rng)
+            _, got = rejection(fc.validate_circuit, BREAKERS[breaker](rng, instructions, oracles), oracles)
+            assert message in got, breaker

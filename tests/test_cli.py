@@ -63,6 +63,15 @@ class TestCheck:
         assert "FAIL PROG-SCOPE names declared before use (statement 12: register cap of 12 qubits exceeded)" in out
         assert "FAIL PROG-NORM unit norm after every instruction (skipped: scoping failed)" in out
 
+    def test_each_signed_zero_angle_is_checked_as_its_own_gate(self, capsys, tmp_path):
+        # gate identity is the name plus the angle's exact bits (gates.gate_key)
+        path = tmp_path / "zeros.fqz"
+        path.write_text("qubit q = |0>\nR(0.0) q\nR(-0.0) q\nR(0) q\nmeasure q\n", encoding="utf-8")
+        code, out, _ = run_cli(capsys, "check", str(path))
+        assert code == 0
+        for rule in ("GATE-U matrix of R is unitary", "GATE-M R matrix", "GATE-INJ mapping of R"):
+            assert out.count(rule) == 2, rule
+
     def test_missing_file_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "check", "/no/such/file.fqz")
         assert code == 2

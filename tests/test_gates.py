@@ -271,6 +271,12 @@ class TestSharedGates:
         assert plus.matrix.tobytes() == gates.phase_shift(0.0).matrix.tobytes()
         assert minus.matrix.tobytes() == gates.phase_shift(-0.0).matrix.tobytes()
 
+    def test_gate_key_is_the_name_and_the_angle_bits(self):
+        assert gates.gate_key("H") == ("H", None)
+        assert gates.gate_key("R", 0.5) == gates.gate_key("R", 1 / 2) == ("R", (0.5).hex())
+        assert gates.gate_key("R", 0.0) != gates.gate_key("R", -0.0)
+        assert gates.gate_key("R", 1) == gates.gate_key("R", 1.0)
+
     @pytest.mark.parametrize("name", ["I", "X", "Z", "H", "CNOT", "R", "oracle"])
     def test_built_matrices_are_read_only(self, name):
         if name == "oracle":
