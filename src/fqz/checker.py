@@ -64,6 +64,11 @@ class CheckReport:
         return all(c.passed for c in self.checks)
 
 
+def _skip_rest(subject: str, failed: CheckResult, rules, why: str) -> CheckReport:
+    """A report whose first rule failed, so each (rule, description) after it was skipped."""
+    return CheckReport(subject, (failed, *(CheckResult(rule, text, False, f"skipped: {why}") for rule, text in rules)))
+
+
 # Huge finite entries overflow to inf or NaN inside the rules, which then
 # fail as they should; numpy's RuntimeWarning about it is noise.
 _quiet = np.errstate(over="ignore", invalid="ignore")
@@ -73,26 +78,13 @@ _quiet = np.errstate(over="ignore", invalid="ignore")
 def check_observable(m, tol: float = DEFAULT_TOL, subject: str = "observable") -> CheckReport:
     try:
         mat = as_matrix(m)
+        n_rows, n_cols = mat.shape
+        failure, skipped = (None, None) if n_rows == n_cols else (f"shape is {n_rows}x{n_cols}", "not square")
     except ValueError as exc:
-        return CheckReport(
-            subject,
-            (
-                CheckResult("OBS-1", "square complex matrix", False, str(exc)),
-                CheckResult("OBS-2", "equals conjugate transpose", False, "skipped: not a matrix"),
-                CheckResult("OBS-3", "real spectrum", False, "skipped: not a matrix"),
-            ),
-        )
-    n_rows, n_cols = mat.shape
-    if n_rows != n_cols:
-        detail = f"shape is {n_rows}x{n_cols}"
-        return CheckReport(
-            subject,
-            (
-                CheckResult("OBS-1", "square complex matrix", False, detail),
-                CheckResult("OBS-2", "equals conjugate transpose", False, "skipped: not square"),
-                CheckResult("OBS-3", "real spectrum", False, "skipped: not square"),
-            ),
-        )
+        failure, skipped = str(exc), "not a matrix"
+    if failure is not None:
+        failed = CheckResult("OBS-1", "square complex matrix", False, failure)
+        return _skip_rest(subject, failed, (("OBS-2", "equals conjugate transpose"), ("OBS-3", "real spectrum")), skipped)
     checks = [CheckResult("OBS-1", "square complex matrix", True, f"shape is {n_rows}x{n_cols}")]
 
     check_tol(tol)
@@ -159,13 +151,8 @@ def check_program(program: lang.Program, tol: float = DEFAULT_TOL, subject: str 
     try:
         circuit, oracles = lang.compile_program(program)
     except lang.CompileError as exc:
-        return CheckReport(
-            subject,
-            (
-                CheckResult("PROG-SCOPE", "names declared before use", False, str(exc)),
-                CheckResult("PROG-NORM", "unit norm after every instruction", False, "skipped: scoping failed"),
-            ),
-        )
+        failed = CheckResult("PROG-SCOPE", "names declared before use", False, str(exc))
+        return _skip_rest(subject, failed, (("PROG-NORM", "unit norm after every instruction"),), "scoping failed")
     qubits = sum(isinstance(ins, Alloc) for ins in circuit.instructions)
     scope_detail = f"{qubits} qubit(s), {len(oracles)} oracle(s), {len(circuit)} statement(s)"
     checks = [CheckResult("PROG-SCOPE", "names declared before use", True, scope_detail)]

@@ -9,17 +9,12 @@ four are also the statements lang's parser builds, so each may carry the
 1-based line and column it was parsed from; hand-built ones default to 0,
 and positions never take part in equality or hashing.
 
-Execution is strictly in order. One walk checks the instructions in turn
-(scoping, allocation kets, gate names and angles, the register cap, oracle
-names, operands) and resolves each one, fetching its shared Gate from
-gates.gate or oracle_gate, so the gates validation checks are the gates
-that run. A bad circuit is rejected before any instruction runs, with the
-index of the first offending instruction. validate_circuit runs the walk
-and drops its result; lang.compile_program and the checker's PROG-SCOPE
-rule defer to it. lower keeps the result, qubit names resolved to register
-indices and gates to Gates, plus the states the leading run of Allocs
-leaves: the Plan every shot of run_shots executes. iter_steps and
-run_circuit take either a Circuit, which they lower first, or a Plan.
+Execution is strictly in order. lower's one walk validates a circuit
+before any instruction runs (validate_circuit, lang.compile_program and
+the checker's PROG-SCOPE rule defer to it) and resolves it to a Plan.
+iter_steps and run_circuit take a Circuit or a Plan. run_shots lowers
+once; a terminal program (every measure after the last gate) runs its
+gates once and splits the shots at each measure, any other runs per shot.
 """
 from __future__ import annotations
 
@@ -31,7 +26,7 @@ from typing import Iterator, Mapping, NamedTuple, Union
 import numpy as np
 
 from . import gates, state
-from .rng import SplitMix64, shot_seed
+from .rng import SplitMix64, shot_seed, uniforms
 
 # The six allocation kets of the surface language; H|b> is the state that
 # H prepares from |b>, which is |+> or |->.
@@ -205,7 +200,7 @@ def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """A validated circuit with every operand resolved, shared by all shots.
+    """A validated circuit with every operand resolved, shared by all runs.
 
     ops holds one entry per instruction: ("state", the read-only state it
     leaves) for each Alloc of the leading run of Allocs, then ("alloc", ket
@@ -224,7 +219,7 @@ def lower(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> Plan:
     for i, op in enumerate(ops):
         if op[0] != "alloc":
             break
-        psi = np.kron(psi, op[1])
+        psi = np.multiply.outer(psi, op[1]).reshape(-1)
         psi.setflags(write=False)  # every shot shares it
         ops[i] = ("state", psi)
     return Plan(circuit, tuple(ops))
@@ -260,7 +255,7 @@ def iter_steps(circuit: Circuit | Plan, oracles: Mapping[str, OracleFn], seed: i
         if op[0] == "state":
             psi = op[1]
         elif op[0] == "alloc":
-            psi = np.kron(psi, op[1])
+            psi = np.multiply.outer(psi, op[1]).reshape(-1)
         elif op[0] == "gate":
             psi = state.apply_gate(psi, op[1], op[2])
         else:
@@ -311,21 +306,68 @@ def run_circuit(circuit: Circuit | Plan, oracles: Mapping[str, OracleFn], seed: 
     return RunReport(psi, tuple(measured), tuple(pres))
 
 
+# Most draws (shots times measures) the shot engine holds at once, so its
+# memory does not grow with the shot count.
+BLOCK_DRAWS = 2**20
+
+
 def run_shots(circuit: Circuit, oracles: Mapping[str, OracleFn], root_seed: int, shots: int) -> RunReport:
     """Batch execution. Shot i runs with seed mix64(root_seed XOR i); the
-    returned report is shot 0's, with the outcome tally attached. The
-    circuit is lowered once and every shot runs the same Plan."""
+    returned report is shot 0's, with the outcome tally attached in order
+    of first appearance. The circuit is lowered once; a terminal program
+    takes _trie_shots, any other runs the Plan once per shot."""
     if shots < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
     plan = lower(circuit, oracles)
-    counts: dict[str, int] = {}
-    first: RunReport | None = None
-    for i in range(shots):
-        report = run_circuit(plan, oracles, shot_seed(root_seed, i))
-        if first is None:
-            first = report
-        counts[report.outcome] = counts.get(report.outcome, 0) + 1
+    first_measure = next((i for i, op in enumerate(plan.ops) if op[0] == "measure"), len(plan.ops))
+    if all(op[0] == "measure" for op in plan.ops[first_measure:]):
+        return _trie_shots(plan, first_measure, oracles, root_seed, shots)
+    first = run_circuit(plan, oracles, shot_seed(root_seed, 0))
+    counts = {first.outcome: 1}
+    for i in range(1, shots):
+        outcome = run_circuit(plan, oracles, shot_seed(root_seed, i)).outcome
+        counts[outcome] = counts.get(outcome, 0) + 1
     return RunReport(first.final_state, first.measured, first.pre_measure_states, counts)
+
+
+def _trie_shots(plan: Plan, first_measure: int, oracles: Mapping[str, OracleFn], root_seed: int, shots: int) -> RunReport:
+    """run_shots of a terminal Plan, with the shot loop's bits and bytes.
+    Shots that agree on their first k bits share one state, so the gates
+    run once; then each block of shots walks depth first down a trie of
+    outcomes. A node computes p(1) once and splits its shots by their
+    draws (rng.uniforms) under measure_qubit's rule; each child that gets
+    shots is collapsed once."""
+    psi = run_circuit(Plan(plan.circuit, plan.ops[:first_measure]), oracles, root_seed).final_state
+    targets = [op[1] for op in plan.ops[first_measure:]]
+    shot0 = []  # (pre-measure state, (name, bit, probability), post-state) along shot 0's path
+    counts: dict[str, int] = {}
+    block = max(1, BLOCK_DRAWS // max(1, len(targets)))
+    for start in range(0, shots, block):
+        size = min(block, shots - start)
+        u = uniforms(root_seed, start, size, len(targets)) if targets else None
+        leaves = []  # (first shot, outcome, shots)
+        stack = [(psi, np.arange(size), "")]
+        while stack:
+            node, idx, outcome = stack.pop()
+            k = len(outcome)
+            if k == len(targets):
+                leaves.append((idx[0], outcome, idx.size))
+                continue
+            p_one = state.branch_probability(node, targets[k])
+            ones = u[idx, k] < p_one
+            if p_one > 0 and not ones.all() and state.zero_branch_empty(node, targets[k]):
+                ones[:] = True  # measure_qubit's empty-branch rule
+            for bit, child in ((1, idx[ones]), (0, idx[~ones])):
+                if child.size:
+                    prob = p_one if bit else 1.0 - p_one
+                    post = state.collapse(node, targets[k], bit, prob)
+                    if start == child[0] == 0:
+                        shot0.append((node, (plan.circuit.instructions[first_measure + k].name, bit, prob), post))
+                    stack.append((post, child, outcome + str(bit)))
+        for _, outcome, n in sorted(leaves):
+            counts[outcome] = counts.get(outcome, 0) + n
+    final = shot0[-1][2] if shot0 else psi
+    return RunReport(final, tuple(m for _, m, _ in shot0), tuple(pre for pre, _, _ in shot0), counts)
 
 
 def pre_measurement_state(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> np.ndarray:

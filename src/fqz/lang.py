@@ -391,14 +391,8 @@ def compile_program(program: Program) -> tuple[Circuit, dict[str, OracleFn]]:
 
 
 def deutsch_source(oracle_keyword: str = "const0") -> str:
-    """The Deutsch algorithm transliterated into the surface language."""
+    """The Deutsch algorithm (circuit.deutsch_circuit) in the surface language."""
     if oracle_keyword not in ORACLE_KEYWORDS:
         raise ValueError(f"unknown oracle keyword {oracle_keyword!r}")
-    return (
-        f"oracle f = {oracle_keyword}\n"
-        "qubit x = H|0>\n"
-        "qubit y = H|1>\n"
-        "N[f] x y\n"
-        "H x\n"
-        "measure x\n"
-    )
+    decl = OracleDecl("f", ORACLE_KEYWORDS[oracle_keyword])
+    return pretty_print(Program((decl,), circuit.deutsch_circuit().instructions))

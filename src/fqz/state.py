@@ -5,18 +5,11 @@ basis order: qubit 0 is the most significant bit of the basis index, so
 for two qubits |xy> sits at index 2x + y. Registers are capped at 12
 qubits (4096 amplitudes); everything is dense.
 
-apply_gate transposes the state tensor so the target axes lead,
-contracts the gate against them with one np.dot (a single zgemm), and
-transposes back. Qubit axes that stay adjacent and in order under that
-permutation are merged first, so a k-qubit gate moves a tensor of at most
-2k+1 axes, not n. The target checks and the merged layout for a placement
-are worked out once per (targets, n) and cached as tuples of ints; the
-state itself is validated on every call. Small registers gather that
-matrix through a cached index array instead. The tests check it against
-a brute-force reference that builds the full 2**n x 2**n matrix from a
-Kronecker product and an explicit basis permutation.
-measure_qubit reads the two branches of a qubit as strided views of the
-state, (2**target, 2, rest)[:, bit, :], with no index arrays.
+apply_gate multiplies a gate into the target axes of the state with one
+np.dot; the tests hold it against a brute-force reference that builds the
+full 2**n x 2**n matrix. measure_qubit is a splitmix64 draw between
+branch_probability and collapse, which read a qubit's two branches as
+strided views; the shot engine of circuit.run_shots calls the same two.
 """
 from __future__ import annotations
 
@@ -39,21 +32,17 @@ GATHER_MAX_QUBITS = 8
 def as_state(data) -> np.ndarray:
     """Coerce to a 1-D complex128 amplitude vector of power-of-two length.
 
-    Finiteness is tested through s.dot(s), so numpy emits a RuntimeWarning
-    ("overflow encountered in dot") for finite states with amplitudes of
-    about 1e154 or more, and ("invalid value encountered in dot") for an
-    infinite amplitude, just before the ValueError. The warning is left
-    alone: wrapping the test in np.errstate costs ~3 us per call, most of
-    what the dot saves over the elementwise test."""
+    A finite s.dot(s) implies finite amplitudes; on inf, nan or its
+    overflow (about 1e154 and up), the exact elementwise test decides.
+    numpy then emits a RuntimeWarning ("overflow" or "invalid value
+    encountered in dot"), left alone: np.errstate costs ~3 us per call,
+    most of what the dot saves over the elementwise test."""
     s = np.asarray(data, dtype=np.complex128)
     if s.ndim != 1:
         raise ValueError(f"expected a 1-D amplitude vector, got shape {s.shape}")
     n = int(s.size).bit_length() - 1
     if s.size != 2**n:
         raise ValueError(f"amplitude vector length must be a power of two, got {s.size}")
-    # A finite s.s implies finite amplitudes. On inf, nan or an overflow
-    # of s.s (which numpy reports as a RuntimeWarning), the exact
-    # elementwise test decides.
     if not cmath.isfinite(s.dot(s)) and not np.isfinite(s).all():
         raise ValueError("amplitudes must be finite")
     return s
@@ -70,19 +59,10 @@ def basis_state(n_qubits: int, index: int) -> np.ndarray:
     return s
 
 
-def _layout(g: Gate, targets: Sequence[int], n: int) -> tuple:
-    """Checked placement of g on an n-qubit register; see _cached_layout."""
-    targets = tuple(targets)
-    if len(targets) != g.arity:
-        found = tuple(map(int, targets))
-        raise ValueError(f"gate {g.name} has arity {g.arity} but got {len(targets)} target(s) {found}")
-    return _cached_layout(targets, n)
-
-
 @functools.cache
 def _cached_layout(targets: tuple, n: int) -> tuple:
-    """_layout's checks and orders, memoised per (targets, n). A raise is
-    not cached, so bad targets fail the same way on every call.
+    """apply_gate's target checks and orders, memoised per (targets, n). A
+    raise is not cached, so bad targets fail the same way on every call.
 
     Returns (order, shape, axes, moved, inverse, 2**arity): order lists
     the qubits with the targets first. Each run of qubits that stays
@@ -140,7 +120,10 @@ def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
     psi = as_state(state)
     n = psi.size.bit_length() - 1
     targets = tuple(targets)
-    _, shape, axes, moved, inverse, rows = _layout(g, targets, n)
+    if len(targets) != g.arity:
+        found = tuple(map(int, targets))
+        raise ValueError(f"gate {g.name} has arity {g.arity} but got {len(targets)} target(s) {found}")
+    _, shape, axes, moved, inverse, rows = _cached_layout(targets, n)
     matrix = np.asarray(g.matrix, dtype=np.complex128)
     if n <= GATHER_MAX_QUBITS:
         index = _gather_index(targets, n)
@@ -163,33 +146,38 @@ class MeasurementResult(NamedTuple):
     probability: float
 
 
+def branch_probability(psi: np.ndarray, target: int) -> float:
+    """p(1) of a qubit: the pairwise sum, in ascending index order, of the
+    squared moduli of branch 1, the strided view (2**target, 2,
+    rest)[:, 1, :] of the state. psi must already be a valid state."""
+    return float(np.add.reduce(np.square(np.abs(psi.reshape(2**target, 2, -1)[:, 1, :])).reshape(-1)))
+
+
+def zero_branch_empty(psi: np.ndarray, target: int) -> bool:
+    """True if no amplitude of psi has the target qubit at 0."""
+    return not psi.reshape(2**target, 2, -1)[:, 0, :].any()
+
+
+def collapse(psi: np.ndarray, target: int, bit: int, prob: float) -> np.ndarray:
+    """The post-state of reading `bit`: a new state holding only branch
+    `bit` of psi, divided by sqrt(prob); only that branch is written."""
+    post = np.zeros_like(psi)
+    np.divide(psi.reshape(2**target, 2, -1)[:, bit, :], np.sqrt(prob), out=post.reshape(2**target, 2, -1)[:, bit, :])
+    return post
+
+
 def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
-    """Measure one qubit in the computational basis.
-
-    The outcome is sampled with a splitmix64 generator seeded by `seed`,
-    so an identical (state, target, seed) triple always reproduces the
-    same result. A branch with no amplitude is never selected, even on a
-    state whose norm has drifted. The returned post_state has the
-    inconsistent amplitudes zeroed and is renormalized by the square root
-    of the branch probability; the input state is not mutated.
-
-    Branch b is the strided view (2**target, 2, rest)[:, b, :] of the
-    state; in C order it holds the amplitudes whose target bit is b in
-    ascending index order. p(1) is the pairwise sum of their squared
-    moduli in that order, and only the kept branch of the zeroed
-    post-state is written.
-    """
+    """Measure one qubit in the computational basis: bit 1 iff a draw of
+    SplitMix64(seed) is below branch_probability, so (state, target, seed)
+    fixes the result. A branch with no amplitude is never selected, even
+    on a state whose norm has drifted. The input state is not mutated."""
     psi = as_state(state)
     n = psi.size.bit_length() - 1
     if not 0 <= target < n:
         raise ValueError(f"target qubit {target} out of range for a {n}-qubit register")
-    branches = psi.reshape(2**target, 2, -1)
-    p_one = float(np.add.reduce(np.square(np.abs(branches[:, 1, :])).reshape(-1)))
-    u = SplitMix64(seed).next_float()
-    bit = 1 if u < p_one else 0
-    if bit == 0 and p_one > 0 and not branches[:, 0, :].any():
+    p_one = branch_probability(psi, target)
+    bit = 1 if SplitMix64(seed).next_float() < p_one else 0
+    if bit == 0 and p_one > 0 and zero_branch_empty(psi, target):
         bit = 1  # a drifted state can leave the sampled branch empty
     prob = p_one if bit == 1 else 1.0 - p_one
-    post = np.zeros_like(psi)
-    np.divide(branches[:, bit, :], np.sqrt(prob), out=post.reshape(2**target, 2, -1)[:, bit, :])
-    return MeasurementResult(bit, post, prob)
+    return MeasurementResult(bit, collapse(psi, target, bit, prob), prob)
