@@ -339,12 +339,14 @@ def _trie_shots(plan: Plan, first_measure: int, oracles: Mapping[str, OracleFn],
     shots is collapsed once."""
     psi = run_circuit(Plan(plan.circuit, plan.ops[:first_measure]), oracles, root_seed).final_state
     targets = [op[1] for op in plan.ops[first_measure:]]
+    if not targets:  # every shot reads the empty outcome: no draws, O(1) in shots
+        return RunReport(psi, (), (), {"": shots})
     shot0 = []  # (pre-measure state, (name, bit, probability), post-state) along shot 0's path
     counts: dict[str, int] = {}
-    block = max(1, BLOCK_DRAWS // max(1, len(targets)))
+    block = max(1, BLOCK_DRAWS // len(targets))
     for start in range(0, shots, block):
         size = min(block, shots - start)
-        u = uniforms(root_seed, start, size, len(targets)) if targets else None
+        u = uniforms(root_seed, start, size, len(targets))
         leaves = []  # (first shot, outcome, shots)
         stack = [(psi, np.arange(size), "")]
         while stack:
@@ -366,8 +368,7 @@ def _trie_shots(plan: Plan, first_measure: int, oracles: Mapping[str, OracleFn],
                     stack.append((post, child, outcome + str(bit)))
         for _, outcome, n in sorted(leaves):
             counts[outcome] = counts.get(outcome, 0) + n
-    final = shot0[-1][2] if shot0 else psi
-    return RunReport(final, tuple(m for _, m, _ in shot0), tuple(pre for pre, _, _ in shot0), counts)
+    return RunReport(shot0[-1][2], tuple(m for _, m, _ in shot0), tuple(pre for pre, _, _ in shot0), counts)
 
 
 def pre_measurement_state(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -71,11 +72,19 @@ def _read_program(path: str) -> lang.Program:
     return lang.parse_source(text)
 
 
-def _amplitude_rows(state) -> list[list[float]]:
-    """[re, im] of each amplitude, rounded to 12 significant digits for
-    serialization."""
-    parts = iter(state.view(float).tolist())  # re, im, re, im, ... as Python floats
-    return [[float(f"{re:.12g}"), float(f"{im:.12g}")] for re, im in zip(parts, parts)]
+def _amplitudes_json(state) -> str:
+    """JSON text of [[re, im], ...]: each part rounded to 12 significant
+    digits and spelled as json.dumps spells the rounded double (its repr).
+    One str.format writes every part. For zero and normal doubles far below
+    1e11 the ".12" spec already writes repr's digits and notation, "1.0" and
+    "-0.0" included, so the text stands when every part is zero or normal
+    with |x| <= 1.5 (a unit state's are); else json.dumps re-spells it."""
+    parts = state.view(float)
+    text = ("[" + ", ".join(["[{:.12}, {:.12}]"] * state.size) + "]").format(*parts.tolist())
+    mags = abs(parts)
+    if mags.max() <= 1.5 and not ((mags > 0) & (mags < sys.float_info.min)).any():
+        return text
+    return json.dumps([[float(real), float(imag)] for real, imag in re.findall(r"\[([^,\[]+), ([^\]]+)\]", text)])
 
 
 def _gates_used(program: lang.Program):
@@ -119,13 +128,8 @@ def cmd_run(path: str, shots: int, seed: int, fmt: str) -> int:
     report = run_shots(circuit, oracles, seed, shots)
     counts = {k: report.shots[k] for k in sorted(report.shots)}
     if fmt == "json":
-        payload = {
-            "outcomes": counts,
-            "amplitudes": _amplitude_rows(report.amplitudes),
-            "seed": seed,
-            "shots": shots,
-        }
-        print(json.dumps(payload))
+        amplitudes = _amplitudes_json(report.amplitudes)
+        print('{"outcomes": %s, "amplitudes": %s, "seed": %d, "shots": %d}' % (json.dumps(counts), amplitudes, seed, shots))
     else:
         for outcome, count in counts.items():
             print(f"{outcome}: {count}")

@@ -268,6 +268,13 @@ class TestShotEngine:
                 assert report_record(report) == expected
                 assert all(outcome[0] == outcome[2] == "1" for outcome in report.shots)
 
+    def test_a_program_without_measure_tallies_any_shot_count_at_once(self):
+        # no draws, so no block of shots is walked: 10**18 shots cost what one does
+        c, oracles = lang.compile_program(lang.parse_source(self.SOURCES["no measure"]))
+        report = fc.run_shots(c, oracles, 7, 10**18)
+        assert report.shots == {"": 10**18}
+        assert report_record(report)[1:] == report_record(fc.run_shots(c, oracles, 7, 1))[1:]
+
     def test_terminal_programs_run_each_gate_once(self, monkeypatch):
         calls = Counter()
 

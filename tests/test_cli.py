@@ -1,11 +1,20 @@
 import json
+import math
 import random
+import re
+import struct
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqz import cli, lang
+from fqz.circuit import run_shots
 
+import golden_corpus
 from fuzz_programs import mutate, random_program
 
 
@@ -144,36 +153,114 @@ class TestRun:
         assert payload["amplitudes"][0][0] == pytest.approx(0.707106781187)
 
 
+def amplitude_rows(state) -> list[list[float]]:
+    """[re, im] of each amplitude, rounded to 12 significant digits: the
+    rows run --format json passed to json.dumps before its direct emitter.
+    Reference for the emitter's bytes."""
+    parts = iter(state.view(float).tolist())  # re, im, re, im, ... as Python floats
+    return [[float(f"{re:.12g}"), float(f"{im:.12g}")] for re, im in zip(parts, parts)]
+
+
+def double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+MIN_NORMAL = sys.float_info.min
+EDGES = (
+    0.0, -0.0, 5e-324, -5e-324, MIN_NORMAL, np.nextafter(MIN_NORMAL, 0.0), -MIN_NORMAL,
+    1.0, -1.0, 1.5, -1.5, np.nextafter(1.5, 2.0), -np.nextafter(1.5, 2.0),
+    0.99999999999995, 0.9999999999995, 1.0000000000049, 1e-5, 1e-4, 9.99999999999e-5, 1e11, 1e12, 1e16, 1 / 3,
+)
+
+
+def common(x: float) -> bool:
+    """The emitter's common path takes a state whose parts all pass this."""
+    return x == 0 or MIN_NORMAL <= abs(x) <= 1.5
+
+
 class TestAmplitudeRows:
     """The rows run --format json prints: [re, im] per amplitude, each part
-    rounded to 12 significant digits."""
+    rounded to 12 significant digits. cli._amplitudes_json writes them in
+    one formatting pass; its text must be json.dumps of the rows, byte for
+    byte, on its common path (every part zero or normal, |x| <= 1.5) and on
+    the rare path, where json.dumps re-spells the doubles read back from it."""
 
     @staticmethod
     def per_element(state):
         return [[float(f"{a.real:.12g}"), float(f"{a.imag:.12g}")] for a in state]
 
-    def assert_same_json(self, psi):
+    def assert_same_json(self, psi) -> bool:
+        """Checks the emitter's text and path on psi; True if it took the rare path."""
         psi = np.asarray(psi, dtype=np.complex128)
-        assert json.dumps(cli._amplitude_rows(psi)) == json.dumps(self.per_element(psi))
+        with mock.patch.object(cli, "re", wraps=re) as spy:
+            text = cli._amplitudes_json(psi)
+        assert text == json.dumps(self.per_element(psi)) == json.dumps(amplitude_rows(psi))
+        assert spy.findall.called == (not all(map(common, psi.view(float).tolist())))
+        return spy.findall.called
 
     def test_signed_zeros(self):
-        self.assert_same_json([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)] + [0.5j] * 3)
+        assert not self.assert_same_json([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)] + [0.5j] * 3)
 
     def test_subnormals(self):
         tiny = np.nextafter(0.0, 1.0)
-        self.assert_same_json([tiny, -tiny, complex(2.2250738585072014e-308 / 3, -tiny * 7), 1.0])
+        assert self.assert_same_json([tiny, -tiny, complex(2.2250738585072014e-308 / 3, -tiny * 7), 1.0])
 
     def test_values_at_the_exponent_switch(self):
         edges = [1e-5, 9.99999999999e-5, 1e-4, 0.0001000000000005, 1e12, 999999999999.5, 999999999999.4, 1e11]
         values = [complex(x, -x) for x in edges] + [complex(-x, x) for x in edges]
-        self.assert_same_json(values)
+        assert self.assert_same_json(values)
+        assert not self.assert_same_json(values[:4] + values[8:12])
+
+    def test_integral_and_non_finite_parts(self):
+        assert not self.assert_same_json([1, -1, 1j, -1j, 0.9999999999995, -1.0000000000049j, 1.5, -1.5j])
+        assert self.assert_same_json([2, 1e100, -7e15j, float("nan"), complex(float("inf"), float("-inf"))])
 
     @pytest.mark.parametrize("n", [1, 4, 12])
     def test_random_states(self, n):
         rng = np.random.default_rng(n)
         psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        self.assert_same_json(psi / np.linalg.norm(psi))
+        assert not self.assert_same_json(psi / np.linalg.norm(psi))
         self.assert_same_json(psi * 10.0 ** rng.integers(-320, 300, size=2**n))
+
+    RAW = st.integers(0, 2**64 - 1).map(double).filter(math.isfinite)
+    PARTS = st.one_of(RAW, st.sampled_from(EDGES))
+
+    @staticmethod
+    def vector(n, parts, seed):
+        """A 2**n-amplitude state whose 2 * 2**n parts repeat `parts`, shuffled."""
+        values = np.random.default_rng(seed).permutation(np.resize(np.array(parts, dtype=float), 2 * 2**n))
+        return values.view(np.complex128)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 12), st.lists(PARTS.filter(common), min_size=1, max_size=16), st.integers(0, 2**32))
+    def test_common_path_property(self, n, parts, seed):
+        assert not self.assert_same_json(self.vector(n, parts, seed))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 12), st.lists(PARTS, min_size=1, max_size=16), PARTS.filter(lambda x: not common(x)), st.integers(0, 2**32))
+    def test_rare_path_property(self, n, parts, outlier, seed):
+        psi = self.vector(n, parts, seed)
+        psi.view(float)[seed % (2 * 2**n)] = outlier
+        assert self.assert_same_json(psi)
+
+    def test_run_lines_of_the_golden_corpus(self, tmp_path):
+        """Each run --format json line is json.dumps of the payload the CLI
+        built before its direct emitter."""
+        checked = 0
+        for entry in golden_corpus.load():
+            for case in entry["cases"]:
+                argv = case["argv"]
+                if argv[0] != "run" or case["exit"] != 0:
+                    continue
+                _, stdout = golden_corpus.run_command(argv, entry["source"], tmp_path)
+                shots, seed = int(argv[argv.index("--shots") + 1]), int(argv[argv.index("--seed") + 1])
+                circuit, oracles = lang.compile_program(lang.parse_source(entry["source"]))
+                report = run_shots(circuit, oracles, seed, shots)
+                counts = {k: report.shots[k] for k in sorted(report.shots)}
+                payload = {"outcomes": counts, "amplitudes": amplitude_rows(report.amplitudes), "seed": seed, "shots": shots}
+                assert stdout == json.dumps(payload) + "\n", (entry["name"], argv)
+                checked += 1
+        assert checked >= 100
 
 
 class TestDeutsch:
