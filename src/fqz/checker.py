@@ -148,6 +148,7 @@ def check_gate(g: Gate, tol: float = DEFAULT_TOL) -> CheckReport:
 
 
 def check_program(program: lang.Program, tol: float = DEFAULT_TOL, subject: str = "program") -> CheckReport:
+    check_tol(tol)
     try:
         circuit, oracles = lang.compile_program(program)
     except lang.CompileError as exc:

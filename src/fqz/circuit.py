@@ -9,18 +9,20 @@ four are also the statements lang's parser builds, so each may carry the
 1-based line and column it was parsed from; hand-built ones default to 0,
 and positions never take part in equality or hashing.
 
-Execution is strictly in order. lower's one walk validates a circuit
-before any instruction runs (validate_circuit, lang.compile_program and
-the checker's PROG-SCOPE rule defer to it) and resolves it to a Plan.
-iter_steps and run_circuit take a Circuit or a Plan. run_shots lowers
-once; a terminal program (every measure after the last gate) runs its
-gates once and splits the shots at each measure, any other runs per shot.
+Execution is strictly in order. validate_circuit's one walk checks a
+circuit before any instruction runs (lang.compile_program and the
+checker's PROG-SCOPE rule defer to it) and returns it resolved. The
+runners reuse a resolved circuit under an equal oracle table and
+validate any other first. A terminal program (every measure after the
+last gate) runs its gates once and splits the shots at each measure, any
+other runs per shot.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -121,7 +123,13 @@ class CircuitError(ValueError):
 
 @dataclass(frozen=True)
 class Circuit:
+    """validate_circuit's result also carries its ops, one per instruction,
+    and a read-only copy of the oracle table they were resolved under;
+    neither takes part in equality, hashing or repr."""
+
     instructions: tuple[Instruction, ...]
+    ops: tuple[tuple, ...] | None = field(default=None, compare=False, repr=False)
+    oracles: Mapping[str, OracleFn] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "instructions", tuple(self.instructions))
@@ -175,10 +183,16 @@ def _resolve(i: int, ins: Instruction, qubits: dict[str, int], oracles: Mapping[
     raise CircuitError(i, f"unknown instruction {ins!r}")
 
 
-def _walk(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> list[tuple]:
-    """Check each instruction in order and resolve it to its op:
-    ("alloc", ket vector), ("gate", Gate, target indices) or ("measure",
-    target index). The first rule broken raises its CircuitError."""
+def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> Circuit:
+    """Static checks, run before execution: declaration before use, no
+    double allocation, register cap, known allocation kets, built-in gate
+    names with a finite angle exactly where one is needed, every oracle
+    name resolvable, and as many distinct operands as the gate or oracle
+    acts on. The first rule broken raises its CircuitError. A valid circuit
+    comes back resolved: its ops hold ("state", the read-only state it
+    leaves) for each Alloc of the leading run of Allocs, then ("alloc", ket
+    vector), ("gate", shared Gate, target indices) or ("measure", target
+    index)."""
     qubits: dict[str, int] = {}  # name -> register index, in allocation order
     ops: list[tuple] = []
     for i, ins in enumerate(circuit.instructions):
@@ -186,35 +200,6 @@ def _walk(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> list[tuple]:
             ops.append(_resolve(i, ins, qubits, oracles))
         except TypeError as exc:  # an unhashable name, ket or gate in a hand-built instruction
             raise CircuitError(i, f"malformed instruction {ins!r}: {exc}") from None
-    return ops
-
-
-def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> None:
-    """Static checks, run before execution: declaration before use, no
-    double allocation, register cap, known allocation kets, built-in gate
-    names with a finite angle exactly where one is needed, every oracle
-    name resolvable, and as many distinct operands as the gate or oracle
-    acts on. This is lower's walk, so it fetches the gates it checks."""
-    _walk(circuit, oracles)
-
-
-@dataclass(frozen=True, eq=False)
-class Plan:
-    """A validated circuit with every operand resolved, shared by all runs.
-
-    ops holds one entry per instruction: ("state", the read-only state it
-    leaves) for each Alloc of the leading run of Allocs, then ("alloc", ket
-    vector), ("gate", Gate, target indices) or ("measure", target index).
-    """
-
-    circuit: Circuit
-    ops: tuple[tuple, ...]
-
-
-def lower(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> Plan:
-    """Validate `circuit` and resolve it for execution (see Plan) in one
-    walk; the Gates are the shared ones of gates.gate and oracle_gate."""
-    ops = _walk(circuit, oracles)
     psi = np.ones(1, dtype=np.complex128)  # empty register: a single amplitude
     for i, op in enumerate(ops):
         if op[0] != "alloc":
@@ -222,7 +207,15 @@ def lower(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> Plan:
         psi = np.multiply.outer(psi, op[1]).reshape(-1)
         psi.setflags(write=False)  # every shot shares it
         ops[i] = ("state", psi)
-    return Plan(circuit, tuple(ops))
+    return Circuit(circuit.instructions, tuple(ops), MappingProxyType(dict(oracles)))
+
+
+def _resolved(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> Circuit:
+    """`circuit` if validate_circuit resolved it under an equal oracle
+    table, else its resolution under `oracles`."""
+    if circuit.ops is not None and circuit.oracles == oracles:
+        return circuit
+    return validate_circuit(circuit, oracles)
 
 
 class Step(NamedTuple):
@@ -236,20 +229,20 @@ class Step(NamedTuple):
     pre_measure_state: np.ndarray | None = None
 
 
-def iter_steps(circuit: Circuit | Plan, oracles: Mapping[str, OracleFn], seed: int) -> Iterator[Step]:
+def iter_steps(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) -> Iterator[Step]:
     """Execute instruction by instruction, yielding the state after each.
 
-    A Circuit is lowered (and so validated) at the first next(); a Plan
-    already carries its oracles, so `oracles` is then not read.
+    The circuit is validated at the first next(), unless validate_circuit
+    already resolved it under an oracle table equal to `oracles`.
     Measurement outcomes are drawn from a splitmix64 stream seeded by
     `seed`, one sub-seed per Measure, so a run is a pure function of
     (circuit, oracles, seed).
     """
-    plan = circuit if isinstance(circuit, Plan) else lower(circuit, oracles)
-    instructions = plan.circuit.instructions
+    circuit = _resolved(circuit, oracles)
+    instructions = circuit.instructions
     rng = SplitMix64(seed)
     psi = np.ones(1, dtype=np.complex128)
-    for i, op in enumerate(plan.ops):
+    for i, op in enumerate(circuit.ops):
         measured = None
         pre = None
         if op[0] == "state":
@@ -293,8 +286,8 @@ class RunReport:
         return self.pre_measure_states[0] if self.pre_measure_states else self.final_state
 
 
-def run_circuit(circuit: Circuit | Plan, oracles: Mapping[str, OracleFn], seed: int) -> RunReport:
-    """Single-shot execution of a Circuit or a lowered Plan."""
+def run_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) -> RunReport:
+    """Single-shot execution (see iter_steps)."""
     psi = np.ones(1, dtype=np.complex128)
     measured: list[tuple[str, int, float]] = []
     pres: list[np.ndarray] = []
@@ -314,31 +307,32 @@ BLOCK_DRAWS = 2**20
 def run_shots(circuit: Circuit, oracles: Mapping[str, OracleFn], root_seed: int, shots: int) -> RunReport:
     """Batch execution. Shot i runs with seed mix64(root_seed XOR i); the
     returned report is shot 0's, with the outcome tally attached in order
-    of first appearance. The circuit is lowered once; a terminal program
-    takes _trie_shots, any other runs the Plan once per shot."""
+    of first appearance. The circuit is resolved at most once; a terminal
+    program takes _trie_shots, any other runs once per shot."""
     if shots < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
-    plan = lower(circuit, oracles)
-    first_measure = next((i for i, op in enumerate(plan.ops) if op[0] == "measure"), len(plan.ops))
-    if all(op[0] == "measure" for op in plan.ops[first_measure:]):
-        return _trie_shots(plan, first_measure, oracles, root_seed, shots)
-    first = run_circuit(plan, oracles, shot_seed(root_seed, 0))
+    circuit = _resolved(circuit, oracles)
+    first_measure = next((i for i, op in enumerate(circuit.ops) if op[0] == "measure"), len(circuit))
+    if all(op[0] == "measure" for op in circuit.ops[first_measure:]):
+        return _trie_shots(circuit, first_measure, root_seed, shots)
+    first = run_circuit(circuit, oracles, shot_seed(root_seed, 0))
     counts = {first.outcome: 1}
     for i in range(1, shots):
-        outcome = run_circuit(plan, oracles, shot_seed(root_seed, i)).outcome
+        outcome = run_circuit(circuit, oracles, shot_seed(root_seed, i)).outcome
         counts[outcome] = counts.get(outcome, 0) + 1
     return RunReport(first.final_state, first.measured, first.pre_measure_states, counts)
 
 
-def _trie_shots(plan: Plan, first_measure: int, oracles: Mapping[str, OracleFn], root_seed: int, shots: int) -> RunReport:
-    """run_shots of a terminal Plan, with the shot loop's bits and bytes.
-    Shots that agree on their first k bits share one state, so the gates
-    run once; then each block of shots walks depth first down a trie of
-    outcomes. A node computes p(1) once and splits its shots by their
-    draws (rng.uniforms) under measure_qubit's rule; each child that gets
-    shots is collapsed once."""
-    psi = run_circuit(Plan(plan.circuit, plan.ops[:first_measure]), oracles, root_seed).final_state
-    targets = [op[1] for op in plan.ops[first_measure:]]
+def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int) -> RunReport:
+    """run_shots of a resolved terminal circuit, with the shot loop's bits
+    and bytes. Shots that agree on their first k bits share one state, so
+    the gates run once; then each block of shots walks depth first down a
+    trie of outcomes. A node computes p(1) once and splits its shots by
+    their draws (rng.uniforms) under measure_qubit's rule; each child that
+    gets shots is collapsed once."""
+    prefix = Circuit(circuit.instructions[:first_measure], circuit.ops[:first_measure], circuit.oracles)
+    psi = run_circuit(prefix, circuit.oracles, root_seed).final_state
+    targets = [op[1] for op in circuit.ops[first_measure:]]
     if not targets:  # every shot reads the empty outcome: no draws, O(1) in shots
         return RunReport(psi, (), (), {"": shots})
     shot0 = []  # (pre-measure state, (name, bit, probability), post-state) along shot 0's path
@@ -364,7 +358,7 @@ def _trie_shots(plan: Plan, first_measure: int, oracles: Mapping[str, OracleFn],
                     prob = p_one if bit else 1.0 - p_one
                     post = state.collapse(node, targets[k], bit, prob)
                     if start == child[0] == 0:
-                        shot0.append((node, (plan.circuit.instructions[first_measure + k].name, bit, prob), post))
+                        shot0.append((node, (circuit.instructions[first_measure + k].name, bit, prob), post))
                     stack.append((post, child, outcome + str(bit)))
         for _, outcome, n in sorted(leaves):
             counts[outcome] = counts.get(outcome, 0) + n

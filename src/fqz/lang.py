@@ -25,8 +25,8 @@ ParseError carries the 1-based line and column of the first violation.
 The statements are circuit.Alloc, Apply, ApplyOracle and Measure
 instructions, each carrying the line and column it was parsed from, so
 compile_program copies nothing: circuit.validate_circuit, the one
-structural authority, judges the parsed statements as they are, and its
-errors come back as CompileErrors located at the offending statement.
+structural authority, judges and resolves the parsed statements as they
+are; its errors come back as CompileErrors at the offending statement.
 """
 from __future__ import annotations
 
@@ -372,7 +372,8 @@ def pretty_print(program: Program) -> str:
 def compile_program(program: Program) -> tuple[Circuit, dict[str, OracleFn]]:
     """(circuit, oracle table): the statements are the circuit's
     instructions, and circuit.validate_circuit decides whether they are
-    valid."""
+    valid. The circuit comes back resolved, so it runs under that table
+    without a second walk."""
     oracles: dict[str, OracleFn] = {}
     for decl in program.oracle_decls:
         # the oracle table is a dict, which cannot hold the duplicate for
@@ -380,14 +381,12 @@ def compile_program(program: Program) -> tuple[Circuit, dict[str, OracleFn]]:
         if decl.name in oracles:
             raise CompileError(f"duplicate oracle declaration {decl.name!r}", decl.line, decl.column)
         oracles[decl.name] = decl.fn
-    lowered = Circuit(program.statements)
     try:
-        circuit.validate_circuit(lowered, oracles)
+        return circuit.validate_circuit(Circuit(program.statements), oracles), oracles
     except circuit.CircuitError as exc:
         # a hand-built program may hold a non-instruction, with no position
-        bad = lowered.instructions[exc.index]
+        bad = program.statements[exc.index]
         raise CompileError(exc.message, getattr(bad, "line", 0), getattr(bad, "column", 0), exc.index) from None
-    return lowered, oracles
 
 
 def deutsch_source(oracle_keyword: str = "const0") -> str:

@@ -244,6 +244,15 @@ class TestCheckProgram:
         assert rules["PROG-SCOPE"].detail.startswith(detail)
         assert rules["PROG-NORM"].detail == "skipped: scoping failed"
 
+    @pytest.mark.parametrize("tol", [2.0, 0.0, -1.0, math.nan])
+    def test_a_tolerance_outside_the_unit_interval_raises(self, tol):
+        # as check_gate and check_observable do, rather than pass or fail PROG-NORM by it
+        p = lang.parse_source(lang.deutsch_source("id"))
+        with pytest.raises(ValueError, match="tolerance must lie in"):
+            checker.check_program(p, tol=tol)
+        with pytest.raises(ValueError, match="tolerance must lie in"):
+            checker.check_gate(gates.cnot(), tol=tol)
+
     def test_empty_program_passes_vacuously(self):
         report = checker.check_program(Program((), ()))
         assert report.overall

@@ -258,13 +258,13 @@ class TestShotEngine:
         # qubit a is |1> at norm 0.9: p(1) = 0.81, so about a fifth of the
         # draws fall in branch 0, which holds no amplitude
         c = Circuit((Alloc("a", "|1>"), Alloc("b", "|+>"), Measure("a"), Measure("b"), Measure("a")))
-        ops = fc.lower(c, {}).ops
-        plan = fc.Plan(c, (ops[0], ("state", ops[1][1] * 0.9), *ops[2:]))
+        ops = fc.validate_circuit(c, {}).ops
+        drifted = Circuit(c.instructions, (ops[0], ("state", ops[1][1] * 0.9), *ops[2:]), {})
         for root in self.ROOTS:
-            expected = report_record(reference_run_shots(plan, {}, root, 200))
+            expected = report_record(reference_run_shots(drifted, {}, root, 200))
             for block in self.BLOCKS:
                 monkeypatch.setattr(fc, "BLOCK_DRAWS", block)
-                report = fc._trie_shots(plan, 2, {}, root, 200)
+                report = fc._trie_shots(drifted, 2, root, 200)
                 assert report_record(report) == expected
                 assert all(outcome[0] == outcome[2] == "1" for outcome in report.shots)
 
@@ -298,16 +298,17 @@ class TestShotEngine:
 
 class TestLower:
     def test_run_shots_validates_and_builds_each_gate_once(self, monkeypatch):
-        # lower's walk is the one validation a run makes; every gate it
-        # resolves comes from the gate caches, each distinct key missed once
-        lowered = Counter()
-        lower = fc.lower
+        # validate_circuit's walk is the one validation a run makes; every
+        # gate it resolves comes from the gate caches, each distinct key
+        # missed once
+        validated = Counter()
+        validate_circuit = fc.validate_circuit
 
-        def counted_lower(*args):
-            lowered["lower"] += 1
-            return lower(*args)
+        def counted_validate(*args):
+            validated["validate_circuit"] += 1
+            return validate_circuit(*args)
 
-        monkeypatch.setattr(fc, "lower", counted_lower)
+        monkeypatch.setattr(fc, "validate_circuit", counted_validate)
         gates._built.cache_clear()
         fc.oracle_gate.cache_clear()
         c = Circuit(
@@ -327,34 +328,34 @@ class TestLower:
         )
         oracles = {"f": OracleFn.IDENTITY, "g": OracleFn.NEGATION}
         fc.run_shots(c, oracles, root_seed=1, shots=50)
-        assert lowered == {"lower": 1}
+        assert validated == {"validate_circuit": 1}
         built, oracle_built = gates._built.cache_info(), fc.oracle_gate.cache_info()
         assert (built.misses, built.hits) == (2, 2)  # H and R(0.5), each used twice
         assert (oracle_built.misses, oracle_built.hits) == (2, 1)  # f twice, g once
 
     def test_signed_zero_angles_get_their_own_gates(self):
         c = lang.compile_program(lang.parse_source("qubit q = |0>\nR(0.0) q\nR(-0.0) q\nmeasure q"))[0]
-        plus, minus = (op[1] for op in fc.lower(c, {}).ops if op[0] == "gate")
+        plus, minus = (op[1] for op in fc.validate_circuit(c, {}).ops if op[0] == "gate")
         assert plus is not minus
         assert [math.copysign(1.0, g.parameter) for g in (plus, minus)] == [1.0, -1.0]
         assert plus is gates.gate("R", 0.0) and minus is gates.gate("R", -0.0)
 
     def test_leading_allocation_states_are_shared_and_read_only(self):
         c = Circuit((Alloc("x", "H|0>"), Alloc("y", "|1>"), Apply("X", ("x",)), Alloc("z", "|0>")))
-        plan = fc.lower(c, {})
-        assert [op[0] for op in plan.ops] == ["state", "state", "gate", "alloc"]
-        shared = [op[1] for op in plan.ops[:2]]
+        resolved = fc.validate_circuit(c, {})
+        assert [op[0] for op in resolved.ops] == ["state", "state", "gate", "alloc"]
+        shared = [op[1] for op in resolved.ops[:2]]
         np.testing.assert_allclose(shared[-1], [0, SQRT_HALF, 0, SQRT_HALF], atol=1e-12)
         for psi in shared:
             assert not psi.flags.writeable
             with pytest.raises(ValueError):
                 psi[0] = 0.0
-        first, second = (list(fc.iter_steps(plan, {}, seed)) for seed in (0, 1))
+        first, second = (list(fc.iter_steps(resolved, {}, seed)) for seed in (0, 1))
         assert first[1].state is second[1].state is shared[1]
         assert first[-1].state.flags.writeable
 
     def test_allocation_by_outer_product_gives_the_kron_bytes(self):
-        # lower and iter_steps allocate with np.multiply.outer(psi,
+        # validate_circuit and iter_steps allocate with np.multiply.outer(psi,
         # ket).reshape(-1): ~2 us against np.kron's ~22 us on one qubit
         rng = np.random.default_rng(11)
         for n in range(12):
@@ -368,6 +369,41 @@ class TestLower:
         steps = list(fc.iter_steps(Circuit(gated), {}, 0))
         for before, after, ins in zip(steps[1:], steps[2:], gated[2:]):
             assert after.state.tobytes() == np.kron(before.state, fc.KET_VECTORS[ins.ket]).tobytes()
+
+
+class TestResolvedCircuit:
+    """validate_circuit returns the circuit resolved under one oracle table;
+    a runner reuses its ops under an equal table only."""
+
+    # the Deutsch program, then one with a gate after a measure, which runs per shot
+    SOURCES = (lang.deutsch_source("const0"), lang.deutsch_source("const0") + "H y\nmeasure y\n")
+
+    @pytest.mark.parametrize("source", SOURCES, ids=["terminal", "per shot"])
+    def test_a_rebound_oracle_table_is_resolved_afresh(self, source):
+        compiled, oracles = lang.compile_program(lang.parse_source(source))
+        assert compiled.oracles == oracles == {"f": OracleFn.CONST0}
+        bare = Circuit(compiled.instructions)
+        rebound = {"f": OracleFn.IDENTITY}
+        for seed in (0, 7, 2**63 + 11):
+            assert report_record(fc.run_circuit(compiled, rebound, seed)) == report_record(fc.run_circuit(bare, rebound, seed))
+            steps = [step.state.tobytes() for step in fc.iter_steps(compiled, rebound, seed)]
+            assert steps == [step.state.tobytes() for step in fc.iter_steps(bare, rebound, seed)]
+            for shots in (1, 100):
+                expected = report_record(fc.run_shots(bare, rebound, seed, shots))
+                assert report_record(fc.run_shots(compiled, rebound, seed, shots)) == expected
+        # an id oracle sends x to 1, which const0 never does
+        assert fc.run_circuit(compiled, rebound, 0).measured[0][1] == 1
+        assert fc.run_circuit(compiled, oracles, 0).measured[0][1] == 0
+
+    def test_a_resolved_circuit_equals_and_hashes_like_its_instructions(self):
+        compiled, oracles = lang.compile_program(lang.parse_source(lang.deutsch_source("id")))
+        assert compiled.ops is not None
+        assert compiled == fc.deutsch_circuit() == Circuit(compiled.instructions)
+        assert hash(compiled) == hash(fc.deutsch_circuit())
+        assert repr(compiled) == repr(Circuit(compiled.instructions))
+        assert "array" not in repr(compiled)
+        with pytest.raises(TypeError):  # a table edited in place would leave stale ops
+            compiled.oracles["f"] = OracleFn.NEGATION
 
 
 class TestDeutsch:
@@ -441,9 +477,9 @@ class TestEquivalence:
 
 # ---------------------------------------------------------------------------
 # The two walks validate_circuit and lower made before they shared one, kept
-# as the reference the shared walk must agree with, error for error and op
-# for op. Their only difference from it on valid circuits: lower's built
-# dict keyed R by float equality, so R(-0.0) got R(0.0)'s gate.
+# as the reference validate_circuit's one walk must agree with, error for
+# error and op for op. Their only difference from it on valid circuits:
+# lower's built dict keyed R by float equality, so R(-0.0) got R(0.0)'s gate.
 
 
 def _reference_check_operands(index, what, arity, targets, declared):
@@ -607,16 +643,14 @@ class TestWalkAgainstReference:
         expected = rejection(reference_validate_circuit, broken, oracles)
         assert expected is not None
         assert rejection(fc.validate_circuit, broken, oracles) == expected
-        assert rejection(fc.lower, broken, oracles) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2**64 - 1))
     def test_valid_circuits_lower_to_the_same_ops(self, seed):
         instructions, oracles = random_instructions(random.Random(seed))
         circuit = Circuit(instructions)
-        assert fc.validate_circuit(circuit, oracles) is None
         expected = [op_record(op) for op in reference_lower(circuit, oracles)]
-        assert [op_record(op) for op in fc.lower(circuit, oracles).ops] == expected
+        assert [op_record(op) for op in fc.validate_circuit(circuit, oracles).ops] == expected
 
     def test_every_breaker_breaks_the_rule_it_names(self):
         messages = {
@@ -642,13 +676,14 @@ class TestWalkAgainstReference:
 
 def reference_run_shots(circuit, oracles, root_seed, shots):
     """run_shots before the shot engine: one run_circuit per shot, each
-    re-running every gate. Reference for bit-identity; takes a Circuit or
-    a Plan."""
-    plan = circuit if isinstance(circuit, fc.Plan) else fc.lower(circuit, oracles)
+    re-running every gate. Reference for bit-identity; a resolved circuit
+    runs with the ops it carries."""
+    if circuit.ops is None:
+        circuit = fc.validate_circuit(circuit, oracles)
     counts = {}
     first = None
     for i in range(shots):
-        report = fc.run_circuit(plan, oracles, shot_seed(root_seed, i))
+        report = fc.run_circuit(circuit, oracles, shot_seed(root_seed, i))
         if first is None:
             first = report
         counts[report.outcome] = counts.get(report.outcome, 0) + 1
@@ -656,11 +691,11 @@ def reference_run_shots(circuit, oracles, root_seed, shots):
 
 
 def report_record(report):
-    """A RunReport as plain data: the tally in its order, shot 0's
-    measured triples with the bits of each probability, and the bytes of
-    its pre-measure states and final state."""
+    """A RunReport as plain data: the tally in its order (None for a
+    single run), shot 0's measured triples with the bits of each
+    probability, and the bytes of its pre-measure states and final state."""
     return (
-        list(report.shots.items()),
+        None if report.shots is None else list(report.shots.items()),
         [(name, bit, float(p).hex()) for name, bit, p in report.measured],
         [pre.tobytes() for pre in report.pre_measure_states],
         report.final_state.tobytes(),

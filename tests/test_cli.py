@@ -4,6 +4,7 @@ import random
 import re
 import struct
 import sys
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqz import cli, lang
+from fqz import circuit, cli, lang
 from fqz.circuit import run_shots
 
 import golden_corpus
@@ -356,6 +357,37 @@ class TestRepeatedMain:
         assert cli._parser.cache_info().currsize == 1
         assert cli._parser() is cli._parser()
         assert cli.build_parser() is not cli._parser()
+
+
+class TestOneWalk:
+    """Each command checks and resolves its program in one walk: every
+    statement reaches circuit._resolve exactly once."""
+
+    SOURCES = {
+        "terminal": lang.deutsch_source("id"),
+        "mid-circuit": "oracle f = not\nqubit a = H|0>\nqubit b = |1>\nN[f] a b\nmeasure a\nH b\nR(0.5) a\nmeasure b\n",
+    }
+    COMMANDS = [
+        *(["run", name, "--shots", shots] for name in SOURCES for shots in ("1", "100")),
+        *(["check", name] for name in SOURCES),
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_each_statement_is_resolved_once(self, argv, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "program.fqz"
+        path.write_text(self.SOURCES[argv[1]], encoding="utf-8")
+        resolved = Counter()
+        resolve = circuit._resolve
+
+        def counted(i, *args):
+            resolved[i] += 1
+            return resolve(i, *args)
+
+        monkeypatch.setattr(circuit, "_resolve", counted)
+        assert cli.main([argv[0], str(path), *argv[2:]]) == 0
+        capsys.readouterr()
+        statements = len(lang.parse_source(self.SOURCES[argv[1]]).statements)
+        assert resolved == Counter(range(statements))
 
 
 _KET_MESSAGE = "expected one of the ket literals |0>, |1>, |+>, |->, H|0>, H|1>"
