@@ -14,8 +14,8 @@ circuit before any instruction runs (lang.compile_program and the
 checker's PROG-SCOPE rule defer to it) and returns it resolved. The
 runners reuse a resolved circuit under an equal oracle table and
 validate any other first. A terminal program (every measure after the
-last gate) runs its gates once and splits the shots at each measure, any
-other runs per shot.
+last gate) runs its gates once and splits all its shots a measure at a
+time, on compacted states; any other runs per shot.
 """
 from __future__ import annotations
 
@@ -299,8 +299,8 @@ def run_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) ->
     return RunReport(psi, tuple(measured), tuple(pres))
 
 
-# Most draws (shots times measures) the shot engine holds at once, so its
-# memory does not grow with the shot count.
+# Most draws (shots times measures), and most floats of padded p(1) rows, the
+# shot engine holds at once, so its memory does not grow with the shot count.
 BLOCK_DRAWS = 2**20
 
 
@@ -325,44 +325,61 @@ def run_shots(circuit: Circuit, oracles: Mapping[str, OracleFn], root_seed: int,
 
 def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int) -> RunReport:
     """run_shots of a resolved terminal circuit, with the shot loop's bits
-    and bytes. Shots that agree on their first k bits share one state, so
-    the gates run once; then each block of shots walks depth first down a
-    trie of outcomes. A node computes p(1) once and splits its shots by
-    their draws (rng.uniforms) under measure_qubit's rule; each child that
-    gets shots is collapsed once."""
+    and bytes: the gates run once, then each block of shots walks the trie
+    of outcomes one measure at a time, in numpy calls per level, not per
+    node. A level's rows hold the amplitudes its nodes' bits leave live, at
+    basis indices `where`; `node` maps each shot to its row."""
     prefix = Circuit(circuit.instructions[:first_measure], circuit.ops[:first_measure], circuit.oracles)
     psi = run_circuit(prefix, circuit.oracles, root_seed).final_state
     targets = [op[1] for op in circuit.ops[first_measure:]]
     if not targets:  # every shot reads the empty outcome: no draws, O(1) in shots
         return RunReport(psi, (), (), {"": shots})
-    shot0 = []  # (pre-measure state, (name, bit, probability), post-state) along shot 0's path
-    counts: dict[str, int] = {}
+    path, measured, counts = [psi], [], {}  # shot 0's states (before each measure, then final) and triples
     block = max(1, BLOCK_DRAWS // len(targets))
     for start in range(0, shots, block):
-        size = min(block, shots - start)
-        u = uniforms(root_seed, start, size, len(targets))
-        leaves = []  # (first shot, outcome, shots)
-        stack = [(psi, np.arange(size), "")]
-        while stack:
-            node, idx, outcome = stack.pop()
-            k = len(outcome)
-            if k == len(targets):
-                leaves.append((idx[0], outcome, idx.size))
-                continue
-            p_one = state.branch_probability(node, targets[k])
-            ones = u[idx, k] < p_one
-            if p_one > 0 and not ones.all() and state.zero_branch_empty(node, targets[k]):
-                ones[:] = True  # measure_qubit's empty-branch rule
-            for bit, child in ((1, idx[ones]), (0, idx[~ones])):
-                if child.size:
-                    prob = p_one if bit else 1.0 - p_one
-                    post = state.collapse(node, targets[k], bit, prob)
-                    if start == child[0] == 0:
-                        shot0.append((node, (circuit.instructions[first_measure + k].name, bit, prob), post))
-                    stack.append((post, child, outcome + str(bit)))
-        for _, outcome, n in sorted(leaves):
-            counts[outcome] = counts.get(outcome, 0) + n
-    return RunReport(shot0[-1][2], tuple(m for _, m, _ in shot0), tuple(pre for pre, _, _ in shot0), counts)
+        u = uniforms(root_seed, start, min(block, shots - start), len(targets))  # column k turns into measure k's bits
+        amps, where, node = psi[None, :], np.arange(psi.size)[None, :], np.zeros(len(u), dtype=np.intp)
+        for k, t in enumerate(targets):
+            one = (where & psi.size >> (t + 1)) != 0  # the live columns in branch 1 of qubit t
+            p_one = _branch_probabilities(amps, where, psi.size, t)
+            empty = (p_one > 0) & np.logical_and.reduce(one | (amps == 0), axis=1)  # measure_qubit's empty-branch rule
+            u[:, k] = ones = (u[:, k] < p_one[node]) | empty[node]
+            key = 2 * node + ones
+            present = np.bincount(key, minlength=2 * len(amps)) > 0  # which (node, bit) children have shots
+            node = (present.cumsum() - 1)[key]
+            parent, bit = np.divmod(present.nonzero()[0], 2)
+            prob = np.where(bit, p_one[parent], 1.0 - p_one[parent])
+            keep = one[parent] == bit[:, None]
+            if t in targets[:k]:  # no split: the other branch reads +0.0, as it does at full size
+                amps, where = np.where(keep, amps[parent] / np.sqrt(prob)[:, None], 0), where[parent]
+            else:
+                amps = amps[parent][keep].reshape(len(parent), -1) / np.sqrt(prob)[:, None]
+                where = where[parent][keep].reshape(len(parent), -1)
+            if start == 0:
+                path.append(np.zeros(psi.size, dtype=np.complex128))
+                path[-1][where[node[0]]] = amps[node[0]]
+                measured.append((circuit.instructions[first_measure + k].name, int(bit[node[0]]), float(prob[node[0]])))
+        first = np.full(len(amps), len(u))
+        np.minimum.at(first, node, np.arange(len(u)))
+        for s, m in sorted(zip(first.tolist(), np.bincount(node).tolist())):
+            outcome = (u[s] + ord("0")).astype(np.uint8).tobytes().decode()
+            counts[outcome] = counts.get(outcome, 0) + m
+    return RunReport(path[-1], tuple(measured), tuple(path[:-1]), counts)
+
+
+def _branch_probabilities(amps: np.ndarray, where: np.ndarray, size: int, target: int) -> np.ndarray:
+    """Each row's p(1) of qubit `target`, bit for bit state.branch_probability
+    at full `size`: the row's squares fill a zeroed row laid out like that
+    function's view, plus a spare column for branch 0, BLOCK_DRAWS floats at a time."""
+    low, half = size >> (target + 1), size >> 1
+    column = np.where(where & low, where - (where // (2 * low) + 1) * low, half)
+    chunk = max(1, BLOCK_DRAWS // (half + 1))
+    p_one = np.empty(len(amps))
+    for i in range(0, len(amps), chunk):
+        rows = np.zeros((len(amps[i : i + chunk]), half + 1))
+        rows[np.arange(len(rows))[:, None], column[i : i + chunk]] = np.square(np.abs(amps[i : i + chunk]))
+        p_one[i : i + chunk] = np.add.reduce(rows[:, :half], axis=1)
+    return p_one
 
 
 def pre_measurement_state(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> np.ndarray:

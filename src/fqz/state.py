@@ -7,9 +7,9 @@ qubits (4096 amplitudes); everything is dense.
 
 apply_gate multiplies a gate into the target axes of the state with one
 np.dot; the tests hold it against a brute-force reference that builds the
-full 2**n x 2**n matrix. measure_qubit is a splitmix64 draw between
-branch_probability and collapse, which read a qubit's two branches as
-strided views; the shot engine of circuit.run_shots calls the same two.
+full 2**n x 2**n matrix. measure_qubit reads a qubit's two branches as
+strided views: branch_probability sums one, a splitmix64 draw picks one,
+and only that one is kept; circuit.run_shots reproduces its bytes.
 """
 from __future__ import annotations
 
@@ -153,19 +153,6 @@ def branch_probability(psi: np.ndarray, target: int) -> float:
     return float(np.add.reduce(np.square(np.abs(psi.reshape(2**target, 2, -1)[:, 1, :])).reshape(-1)))
 
 
-def zero_branch_empty(psi: np.ndarray, target: int) -> bool:
-    """True if no amplitude of psi has the target qubit at 0."""
-    return not psi.reshape(2**target, 2, -1)[:, 0, :].any()
-
-
-def collapse(psi: np.ndarray, target: int, bit: int, prob: float) -> np.ndarray:
-    """The post-state of reading `bit`: a new state holding only branch
-    `bit` of psi, divided by sqrt(prob); only that branch is written."""
-    post = np.zeros_like(psi)
-    np.divide(psi.reshape(2**target, 2, -1)[:, bit, :], np.sqrt(prob), out=post.reshape(2**target, 2, -1)[:, bit, :])
-    return post
-
-
 def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     """Measure one qubit in the computational basis: bit 1 iff a draw of
     SplitMix64(seed) is below branch_probability, so (state, target, seed)
@@ -177,7 +164,9 @@ def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
         raise ValueError(f"target qubit {target} out of range for a {n}-qubit register")
     p_one = branch_probability(psi, target)
     bit = 1 if SplitMix64(seed).next_float() < p_one else 0
-    if bit == 0 and p_one > 0 and zero_branch_empty(psi, target):
+    if bit == 0 and p_one > 0 and not psi.reshape(2**target, 2, -1)[:, 0, :].any():
         bit = 1  # a drifted state can leave the sampled branch empty
     prob = p_one if bit == 1 else 1.0 - p_one
-    return MeasurementResult(bit, collapse(psi, target, bit, prob), prob)
+    post = np.zeros_like(psi)  # only branch `bit` is written, divided by sqrt(prob)
+    np.divide(psi.reshape(2**target, 2, -1)[:, bit, :], np.sqrt(prob), out=post.reshape(2**target, 2, -1)[:, bit, :])
+    return MeasurementResult(bit, post, prob)

@@ -268,6 +268,21 @@ class TestShotEngine:
                 assert report_record(report) == expected
                 assert all(outcome[0] == outcome[2] == "1" for outcome in report.shots)
 
+    @pytest.mark.parametrize("variant", ["shuffled measures", "a repeated measure", "a prefix drifted to norm 0.9"])
+    @pytest.mark.parametrize("shots", [20, 1000])
+    def test_wide_terminal_programs_match_the_shot_loop(self, variant, shots, monkeypatch):
+        # wide-final's shape: every level of the trie holds compacted nodes,
+        # and BLOCK_DRAWS = 3 also pads one row per chunk
+        c, oracles = wide_terminal_circuit(random.Random(variant), repeat=variant == "a repeated measure")
+        if variant == "a prefix drifted to norm 0.9":
+            ops = list(c.ops)
+            ops[state.MAX_QUBITS - 1] = ("state", ops[state.MAX_QUBITS - 1][1] * 0.9)
+            c = Circuit(c.instructions, tuple(ops), c.oracles)
+        expected = report_record(reference_run_shots(c, oracles, 7, shots))
+        for block in self.BLOCKS:
+            monkeypatch.setattr(fc, "BLOCK_DRAWS", block)
+            assert report_record(fc.run_shots(c, oracles, 7, shots)) == expected, block
+
     def test_a_program_without_measure_tallies_any_shot_count_at_once(self):
         # no draws, so no block of shots is walked: 10**18 shots cost what one does
         c, oracles = lang.compile_program(lang.parse_source(self.SOURCES["no measure"]))
@@ -674,6 +689,63 @@ class TestWalkAgainstReference:
             assert message in got, breaker
 
 
+def collapse(psi, target, bit, prob):
+    """state.collapse before it folded into measure_qubit: a new state
+    holding only branch `bit` of psi, divided by sqrt(prob); only that
+    branch is written. Reference for the bytes of a compacted node."""
+    post = np.zeros_like(psi)
+    np.divide(psi.reshape(2**target, 2, -1)[:, bit, :], np.sqrt(prob), out=post.reshape(2**target, 2, -1)[:, bit, :])
+    return post
+
+
+@st.composite
+def awkward_states(draw):
+    """A 1-12 qubit state of norm about 0.9, 1 or 1.1 whose parts include
+    exact zeros of both signs and subnormals."""
+    n = draw(st.integers(1, state.MAX_QUBITS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi *= draw(st.sampled_from([0.9, 1.0, 1.1])) / np.linalg.norm(psi)
+    specials = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-160])
+    for part in (psi.real, psi.imag):
+        picked = rng.random(2**n) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        part[picked] = rng.choice(specials, size=int(picked.sum()))
+    return psi
+
+
+class TestCompactedNodes:
+    """A trie node keeps only the amplitudes its bits leave live. Its p(1)
+    must be state.branch_probability of the full-size state, and its live
+    amplitudes, scattered back, the bytes of the full-size collapse."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(awkward_states(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 1)), min_size=1, max_size=14))
+    def test_padded_row_sum_is_the_full_size_branch_probability(self, psi, reads):
+        n = psi.size.bit_length() - 1
+        full, seen = psi, set()
+        for t, bit in reads:
+            t %= n
+            where = np.flatnonzero([all((i >> (n - 1 - q)) & 1 == b for q, b in seen) for i in range(psi.size)])
+            p_one = fc._branch_probabilities(full[where][None, :], where[None, :], psi.size, t)
+            p = float(p_one[0])
+            assert p.hex() == state.branch_probability(full, t).hex()
+            if not (p if bit else 1.0 - p) > 0:  # a branch of no mass is never read
+                bit = 1 - bit
+            full = collapse(full, t, bit, p if bit else 1.0 - p)
+            if (t, 1 - bit) not in seen:  # reading a ruled-out branch leaves the live set, all zero
+                seen.add((t, bit))
+
+    @settings(max_examples=150, deadline=None)
+    @given(awkward_states(), st.lists(st.integers(0, 11), min_size=1, max_size=14), st.integers(0, 2**64 - 1))
+    def test_compacted_children_scatter_back_to_the_full_size_collapse(self, psi, targets, root):
+        n = psi.size.bit_length() - 1
+        names = [f"q{i}" for i in range(n)]
+        c = fc.validate_circuit(Circuit([Alloc(q, "|0>") for q in names] + [Measure(names[t % n]) for t in targets]), {})
+        c = Circuit(c.instructions, (*c.ops[: n - 1], ("state", psi), *c.ops[n:]), {})
+        expected = report_record(reference_run_shots(c, {}, root, 12))
+        assert report_record(fc._trie_shots(c, n, root, 12)) == expected
+
+
 def reference_run_shots(circuit, oracles, root_seed, shots):
     """run_shots before the shot engine: one run_circuit per shot, each
     re-running every gate. Reference for bit-identity; a resolved circuit
@@ -700,6 +772,29 @@ def report_record(report):
         [pre.tobytes() for pre in report.pre_measure_states],
         report.final_state.tobytes(),
     )
+
+
+def wide_terminal_circuit(rng, repeat=False):
+    """A resolved 12-qubit program shaped like the wide-final workload: 12
+    allocations, 96 gates of which a third are oracles, then all 12
+    measures in shuffled order; with `repeat`, one qubit is measured again
+    somewhere after its first measure."""
+    names = [f"q{i}" for i in range(state.MAX_QUBITS)]
+    oracles = {"f": rng.choice(list(OracleFn)), "g": rng.choice(list(OracleFn))}
+    instructions = [Alloc(q, rng.choice(list(fc.KET_VECTORS))) for q in names]
+    for i in range(96):
+        if i % 3 == 0:
+            instructions.append(ApplyOracle(rng.choice(list(oracles)), *rng.sample(names, 2)))
+        elif rng.random() < 0.2:
+            instructions.append(Apply("CNOT", tuple(rng.sample(names, 2))))
+        else:
+            name = rng.choice(["I", "X", "Z", "H", "R"])
+            instructions.append(Apply(name, (rng.choice(names),), rng.choice([0.5, math.pi / 4, -0.75]) if name == "R" else None))
+    measures = [Measure(q) for q in rng.sample(names, len(names))]
+    if repeat:
+        first = rng.randrange(len(measures))
+        measures.insert(rng.randint(first + 1, len(measures)), measures[first])
+    return fc.validate_circuit(Circuit(instructions + measures), oracles), oracles
 
 
 def terminal_circuit(rng):
