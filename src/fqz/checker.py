@@ -89,7 +89,7 @@ def check_observable(m, tol: float = DEFAULT_TOL, subject: str = "observable") -
 
     check_tol(tol)
     max_dev = float(np.abs(mat - mat.conj().T).max())
-    hermitian = max_dev <= tol  # linalg.is_hermitian's test, on the deviation printed
+    hermitian = max_dev <= tol
     checks.append(
         CheckResult("OBS-2", "equals conjugate transpose", hermitian, f"max deviation {max_dev:.3e}")
     )

@@ -14,8 +14,8 @@ circuit before any instruction runs (lang.compile_program and the
 checker's PROG-SCOPE rule defer to it) and returns it resolved. The
 runners reuse a resolved circuit under an equal oracle table and
 validate any other first. A terminal program (every measure after the
-last gate) runs its gates once and splits all its shots a measure at a
-time, on compacted states; any other runs per shot.
+last gate) run for 2+ shots runs its gates once and splits the shots a
+measure at a time, on compacted states; any other runs per shot.
 """
 from __future__ import annotations
 
@@ -308,12 +308,12 @@ def run_shots(circuit: Circuit, oracles: Mapping[str, OracleFn], root_seed: int,
     """Batch execution. Shot i runs with seed mix64(root_seed XOR i); the
     returned report is shot 0's, with the outcome tally attached in order
     of first appearance. The circuit is resolved at most once; a terminal
-    program takes _trie_shots, any other runs once per shot."""
+    program run for 2+ shots takes _trie_shots, any other runs per shot."""
     if shots < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
     circuit = _resolved(circuit, oracles)
     first_measure = next((i for i, op in enumerate(circuit.ops) if op[0] == "measure"), len(circuit))
-    if all(op[0] == "measure" for op in circuit.ops[first_measure:]):
+    if shots > 1 and all(op[0] == "measure" for op in circuit.ops[first_measure:]):
         return _trie_shots(circuit, first_measure, root_seed, shots)
     first = run_circuit(circuit, oracles, shot_seed(root_seed, 0))
     counts = {first.outcome: 1}

@@ -291,8 +291,3 @@ def gate(name: str, parameter: float | None = None) -> Gate:
     per gate_key and shared, so its matrix is read-only."""
     validate_gate_args(name, parameter)
     return _built(*gate_key(name, parameter))
-
-
-def builtin_gates() -> tuple[Gate, ...]:
-    """One instance of every fixed built-in (R excluded: it needs an angle)."""
-    return tuple(factory() for factory in _FIXED_GATES.values())

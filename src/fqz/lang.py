@@ -18,9 +18,9 @@ a single token. NUMBER is a decimal radian literal (optional sign and
 exponent) or one of the fraction forms pi, pi/2, pi/4. N[f] applies the
 oracle named f to a control qubit and a register qubit, in that order.
 
-Scoping is enforced while parsing: qubits and oracles must be declared
-before use and may not be declared twice. Parsing is fail-fast; every
-ParseError carries the 1-based line and column of the first violation.
+A qubit or oracle is declared once, before use. parse_source reads a valid
+source one regex match per line; tokenize and parse run only on a source it
+rejects, and locate its first fault in a ParseError (1-based line, column).
 
 The statements are circuit.Alloc, Apply, ApplyOracle and Measure
 instructions, each carrying the line and column it was parsed from, so
@@ -99,6 +99,10 @@ KEYWORDS = {"qubit", "oracle", "measure", *ORACLE_KEYWORDS}
 GATE_NAMES = {"I", "X", "Z", "H", "R", "N"}
 SINGLE_QUBIT_GATES = ("I", "X", "Z", "H")
 
+_KET = r"H\|[01]>|\|[01+-]>"
+_NUMBER = r"pi(?![A-Za-z0-9_])(?:/[24])?|-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*"
+
 # One match per token: leading blanks, then exactly one named group. The
 # lowercase groups are the lexical errors (a "|" or "H|" that starts no
 # ket literal, a CR without its LF, any other character); a WORD is a
@@ -106,13 +110,23 @@ SINGLE_QUBIT_GATES = ("I", "X", "Z", "H")
 _TOKEN_RE = re.compile(
     r"[ \t]*(?:"
     r"(?P<NEWLINE>\r?\n)|(?P<COMMENT>--[^\r\n]*)"
-    r"|(?P<KET>H\|[01]>|\|[01+-]>)|(?P<bad_ket>H?\|)"
-    r"|(?P<NUMBER>pi(?![A-Za-z0-9_])(?:/[24])?|-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<KET>{_KET})|(?P<bad_ket>H?\|)|(?P<NUMBER>{_NUMBER})|(?P<WORD>{_WORD})"
     r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<LBRACKET>\[)|(?P<RBRACKET>\])|(?P<EQUALS>=)|(?P<EOF>\Z)"
     r"|(?P<stray_cr>\r)|(?P<unexpected>[\s\S]))"
 )
+# One match per line of a valid program: blanks, at most one statement and
+# its trailing blanks (no two blank runs side by side, so a failed match is
+# linear), a comment, the line's end. m.lastgroup is the statement's kind.
+_LINE_RE = re.compile(
+    rf"[ \t]*(?:(?:(?P<oracle>oracle[ \t]+(?P<decl>{_WORD})[ \t]*=[ \t]*(?P<fn>{'|'.join(ORACLE_KEYWORDS)}))"
+    rf"|(?P<qubit>qubit[ \t]+(?P<alloc>{_WORD})[ \t]*=[ \t]*(?P<ket>{_KET}))"
+    rf"|(?P<apply>(?P<gate>[{''.join(SINGLE_QUBIT_GATES)}])[ \t]+(?P<target>{_WORD}))"
+    rf"|(?P<rotate>R[ \t]*\([ \t]*(?P<angle>{_NUMBER})[ \t]*\)[ \t]*(?P<rotated>{_WORD}))"
+    rf"|(?P<query>N[ \t]*\[[ \t]*(?P<queried>{_WORD})[ \t]*\][ \t]*(?P<control>{_WORD})[ \t]+(?P<register>{_WORD}))"
+    rf"|(?P<measure>measure[ \t]+(?P<measured>{_WORD})))[ \t]*)?(?:--[^\r\n]*)?(?:\r?\n|\Z)"
+)
 _WORD_KINDS = {**dict.fromkeys(KEYWORDS, TokenKind.KEYWORD), **dict.fromkeys(GATE_NAMES, TokenKind.GATE)}
+_NOT_NAMES = {*_WORD_KINDS, "pi"}  # the words that lex as no IDENT
 _PLAIN_KINDS = {kind.name: kind for kind in TokenKind if kind.name not in ("NEWLINE", "EOF")}
 _KET_ERROR = "expected one of the ket literals |0>, |1>, |+>, |->, H|0>, H|1>"
 
@@ -281,7 +295,10 @@ class _Parser:
             num = self.expect(TokenKind.NUMBER, "an angle")
             self.expect(TokenKind.RPAREN, "')'")
             target = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
-            return Apply("R", (target,), _number_value(num), gate_tok.line, gate_tok.column)
+            value = float(_PI_FRACTIONS.get(num.lexeme, num.lexeme))
+            if not math.isfinite(value):
+                raise ParseError(f"number literal {num.lexeme!r} overflows", num.line, num.column)
+            return Apply("R", (target,), value, gate_tok.line, gate_tok.column)
         # N[f] control register
         self.expect(TokenKind.LBRACKET, "'['")
         oracle = self.expect(TokenKind.IDENT, "an oracle name")
@@ -310,21 +327,39 @@ def _describe(tok: Token) -> str:
 _PI_FRACTIONS = {"pi": math.pi, "pi/2": math.pi / 2.0, "pi/4": math.pi / 4.0}
 
 
-def _number_value(tok: Token) -> float:
-    if tok.lexeme in _PI_FRACTIONS:
-        return _PI_FRACTIONS[tok.lexeme]
-    value = float(tok.lexeme)
-    if not math.isfinite(value):
-        raise ParseError(f"number literal {tok.lexeme!r} overflows", tok.line, tok.column)
-    return value
-
-
 def parse(tokens: list[Token]) -> Program:
     return _Parser(tokens).program()
 
 
+def _parse_lines(source: str) -> Program | None:
+    """parse(tokenize(source)) read one _LINE_RE match per line, or None at a line it rejects."""
+    decls, qubits, stmts = {}, set(), []
+    line = pos = 0
+    while pos < len(source) and (m := _LINE_RE.match(source, pos)):
+        line, kind, pos = line + 1, m.lastgroup, m.end()
+        at = (line, m.start(kind or 0) - m.start() + 1)
+        if kind == "oracle" and m["decl"] not in _NOT_NAMES and m["decl"] not in decls:
+            decls[m["decl"]] = OracleDecl(m["decl"], ORACLE_KEYWORDS[m["fn"]], *at)
+        elif kind == "qubit" and m["alloc"] not in _NOT_NAMES and m["alloc"] not in qubits:
+            qubits.add(m["alloc"])
+            stmts.append(Alloc(m["alloc"], m["ket"], *at))
+        elif kind == "apply" and m["target"] in qubits:
+            stmts.append(Apply(m["gate"], (m["target"],), None, *at))
+        elif kind == "rotate" and m["rotated"] in qubits:
+            if not math.isfinite(value := float(_PI_FRACTIONS.get(m["angle"], m["angle"]))):
+                return None
+            stmts.append(Apply("R", (m["rotated"],), value, *at))
+        elif kind == "query" and m["queried"] in decls and m["control"] in qubits and m["register"] in qubits:
+            stmts.append(ApplyOracle(m["queried"], m["control"], m["register"], *at))
+        elif kind == "measure" and m["measured"] in qubits:
+            stmts.append(Measure(m["measured"], *at))
+        elif kind is not None:  # a statement that breaks a scoping rule
+            return None
+    return Program(tuple(decls.values()), tuple(stmts)) if pos == len(source) else None
+
+
 def parse_source(source: str) -> Program:
-    return parse(tokenize(source))
+    return _parse_lines(source) or parse(tokenize(source))
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +422,3 @@ def compile_program(program: Program) -> tuple[Circuit, dict[str, OracleFn]]:
         # a hand-built program may hold a non-instruction, with no position
         bad = program.statements[exc.index]
         raise CompileError(exc.message, getattr(bad, "line", 0), getattr(bad, "column", 0), exc.index) from None
-
-
-def deutsch_source(oracle_keyword: str = "const0") -> str:
-    """The Deutsch algorithm (circuit.deutsch_circuit) in the surface language."""
-    if oracle_keyword not in ORACLE_KEYWORDS:
-        raise ValueError(f"unknown oracle keyword {oracle_keyword!r}")
-    decl = OracleDecl("f", ORACLE_KEYWORDS[oracle_keyword])
-    return pretty_print(Program((decl,), circuit.deutsch_circuit().instructions))

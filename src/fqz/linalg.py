@@ -35,11 +35,6 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
-def conjugate_transpose(m) -> np.ndarray:
-    """Adjoint of m: transpose with every entry conjugated."""
-    return as_matrix(m).conj().T
-
-
 def approx_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
     """True iff a and b share a shape and agree entrywise within tol."""
     check_tol(tol)
@@ -48,15 +43,6 @@ def approx_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
     if a.shape != b.shape:
         return False
     return float(np.abs(a - b).max()) <= tol
-
-
-def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff m is square and equals its adjoint within tol."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
-    check_tol(tol)
-    return float(np.abs(m - m.conj().T).max()) <= tol
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:

@@ -44,20 +44,12 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-# Up to this many draws, uniforms takes them from SplitMix64 itself, which
-# costs less than the ~60 us of numpy calls that the array form costs.
-SCALAR_DRAWS = 16
-
-
 def uniforms(root_seed: int, first_shot: int, shots: int, depth: int) -> np.ndarray:
     """(shots, depth) float64 array whose entry [s, k] is the draw of the
     k-th measurement of shot i = first_shot + s, bit for bit:
     SplitMix64(g.next_u64()).next_float() at the k-th call on
     g = SplitMix64(shot_seed(root_seed, i)). numpy's uint64 arithmetic
     wraps mod 2**64, and x >> 11 is below 2**53, so float64 holds it."""
-    if shots * depth <= SCALAR_DRAWS:
-        gens = [SplitMix64(shot_seed(root_seed, i)) for i in range(first_shot, first_shot + shots)]
-        return np.array([[SplitMix64(g.next_u64()).next_float() for _ in range(depth)] for g in gens])
     seeds = mix64(np.arange(first_shot, first_shot + shots, dtype=np.uint64) ^ (root_seed & _MASK))
     x = mix64(mix64(seeds[:, None] + np.arange(1, depth + 1, dtype=np.uint64) * _GAMMA) + _GAMMA)
     return (x >> 11).astype(np.float64) * 2.0**-53

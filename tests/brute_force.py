@@ -9,6 +9,10 @@ it took the first 2**arity pairs directly: it picks the spanning inputs by
 a greedy matrix_rank search (one SVD per candidate) and builds every ket
 vector afresh wherever it needs one. The library must agree with it byte
 for byte on the matrix and word for word on every MappingError.
+
+conjugate_transpose and is_hermitian are the adjoint and the Hermitian
+test the checker's OBS-2 rule computes inline; builtin_gates is one shared
+instance of every fixed built-in gate (R excluded: it needs an angle).
 """
 from __future__ import annotations
 
@@ -17,8 +21,26 @@ from typing import Sequence
 
 import numpy as np
 
-from fqz.gates import BasisMapping, Gate, KetExpr, MappingError, ket_vector
-from fqz.linalg import DEFAULT_TOL
+from fqz.gates import BasisMapping, Gate, KetExpr, MappingError, gate, ket_vector
+from fqz.linalg import DEFAULT_TOL, as_matrix, check_tol
+
+
+def builtin_gates() -> tuple[Gate, ...]:
+    return tuple(gate(name) for name in ("I", "X", "Z", "H", "CNOT"))
+
+
+def conjugate_transpose(m) -> np.ndarray:
+    """Adjoint of m: transpose with every entry conjugated."""
+    return as_matrix(m).conj().T
+
+
+def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
+    """True iff m is square and equals its adjoint within tol."""
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        return False
+    check_tol(tol)
+    return float(np.abs(m - m.conj().T).max()) <= tol
 
 
 def expanded_unitary(g: Gate, targets: Sequence[int], n_qubits: int) -> np.ndarray:

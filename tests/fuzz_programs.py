@@ -1,4 +1,5 @@
-"""Random .fqz program generator and mutator shared by the test suites.
+"""Random .fqz program generator and mutator shared by the test suites,
+and the source of the Deutsch algorithm.
 
 Generation is seeded and self-contained so test runs are reproducible.
 Generated programs are valid by construction: every qubit and oracle is
@@ -82,3 +83,9 @@ def mutate(source: str, rng: random.Random) -> str:
     idx = rng.randrange(len(lines))
     lines.insert(idx, lines[rng.randrange(len(lines))])
     return "\n".join(lines) + "\n"
+
+
+def deutsch_source(oracle_keyword: str = "const0") -> str:
+    """The Deutsch algorithm (circuit.deutsch_circuit) in canonical source
+    form, querying an oracle f of the given kind."""
+    return f"oracle f = {oracle_keyword}\nqubit x = H|0>\nqubit y = H|1>\nN[f] x y\nH x\nmeasure x\n"

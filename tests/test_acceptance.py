@@ -12,8 +12,8 @@ import random
 
 import numpy as np
 
-from brute_force import expanded_unitary
-from fuzz_programs import mutate, random_program
+from brute_force import builtin_gates, expanded_unitary
+from fuzz_programs import deutsch_source, mutate, random_program
 from fqz import checker, cli, gates, lang, state
 from fqz import circuit as fc
 from fqz.linalg import eigenvalues_2x2
@@ -64,7 +64,7 @@ def test_criterion_3_gate_algebra():
         m = gates.gate(name).matrix
         ok = ok and float(np.abs(m @ m - np.eye(m.shape[0])).max()) <= 1e-9
     ok = ok and float(np.abs(gates.phase_shift(math.pi).matrix - gates.pauli_z().matrix).max()) <= 1e-9
-    for g in gates.builtin_gates() + (gates.phase_shift(math.pi / 2), gates.phase_shift(0.3)):
+    for g in builtin_gates() + (gates.phase_shift(math.pi / 2), gates.phase_shift(0.3)):
         induced = gates.mapping_to_matrix(g.mapping)
         ok = ok and float(np.abs(induced - g.matrix).max()) <= 1e-9
     ok = ok and len(gates.hadamard().mapping.pairs) == 4  # redundant rows included
@@ -129,7 +129,7 @@ def test_criterion_7_measurement_statistics(tmp_path, capsys):
 
 def test_criterion_8_language_round_trip():
     ok = True
-    sources = [lang.deutsch_source(k) for k in fc.ORACLE_KEYWORDS]
+    sources = [deutsch_source(k) for k in fc.ORACLE_KEYWORDS]
     rng = random.Random(801)
     sources += [random_program(rng) for _ in range(1000)]
     for src in sources:
@@ -156,7 +156,7 @@ def test_criterion_9_end_to_end(tmp_path, capsys):
     ok = True
     for keyword, fn in fc.ORACLE_KEYWORDS.items():
         path = tmp_path / f"deutsch_{keyword}.fqz"
-        path.write_text(lang.deutsch_source(keyword), encoding="utf-8")
+        path.write_text(deutsch_source(keyword), encoding="utf-8")
         if cli.main(["check", str(path)]) != 0:
             ok = False
         code = cli.main(["run", str(path), "--shots", "100", "--seed", "9", "--format", "json"])

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import builtin_gates
+from fuzz_programs import deutsch_source
 from fqz import checker, gates, lang, state
 from fqz.circuit import Apply, ApplyOracle, OracleFn
 from fqz.lang import AllocStmt, MeasureStmt, OracleDecl, Program
@@ -82,7 +84,7 @@ class TestCheckObservable:
 
 
 class TestCheckGate:
-    @pytest.mark.parametrize("g", gates.builtin_gates() + (gates.phase_shift(math.pi / 2),), ids=lambda g: g.name)
+    @pytest.mark.parametrize("g", builtin_gates() + (gates.phase_shift(math.pi / 2),), ids=lambda g: g.name)
     def test_builtins_pass_all_rules(self, g):
         report = checker.check_gate(g)
         assert report.overall
@@ -216,7 +218,7 @@ class TestHugeFiniteInput:
 
 class TestCheckProgram:
     def test_deutsch_program_passes(self):
-        p = lang.parse_source(lang.deutsch_source("id"))
+        p = lang.parse_source(deutsch_source("id"))
         report = checker.check_program(p)
         assert report.overall
         assert [c.rule for c in report.checks] == ["PROG-SCOPE", "PROG-NORM"]
@@ -247,7 +249,7 @@ class TestCheckProgram:
     @pytest.mark.parametrize("tol", [2.0, 0.0, -1.0, math.nan])
     def test_a_tolerance_outside_the_unit_interval_raises(self, tol):
         # as check_gate and check_observable do, rather than pass or fail PROG-NORM by it
-        p = lang.parse_source(lang.deutsch_source("id"))
+        p = lang.parse_source(deutsch_source("id"))
         with pytest.raises(ValueError, match="tolerance must lie in"):
             checker.check_program(p, tol=tol)
         with pytest.raises(ValueError, match="tolerance must lie in"):

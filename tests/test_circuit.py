@@ -20,7 +20,7 @@ from fqz.circuit import (
     Verdict,
 )
 from fqz.rng import shot_seed
-from fuzz_programs import random_program
+from fuzz_programs import deutsch_source, random_program
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -290,6 +290,19 @@ class TestShotEngine:
         assert report.shots == {"": 10**18}
         assert report_record(report)[1:] == report_record(fc.run_shots(c, oracles, 7, 1))[1:]
 
+    @pytest.mark.parametrize("case", ["no measure", "repeated measures of one qubit", *range(8), "wide", "wide, repeated"])
+    def test_one_shot_runs_the_circuit_once_without_the_trie(self, case, monkeypatch):
+        # one run_circuit costs less than the trie's fixed numpy calls per level
+        if case in self.SOURCES:
+            c, oracles = lang.compile_program(lang.parse_source(self.SOURCES[case]))
+        elif isinstance(case, int):
+            c, oracles = terminal_circuit(random.Random(case), max_qubits=12)
+        else:
+            c, oracles = wide_terminal_circuit(random.Random(case), repeat=case == "wide, repeated")
+        expected = [report_record(reference_run_shots(c, oracles, root, 1)) for root in self.ROOTS]
+        monkeypatch.setattr(fc, "_trie_shots", None)
+        assert [report_record(fc.run_shots(c, oracles, root, 1)) for root in self.ROOTS] == expected, case
+
     def test_terminal_programs_run_each_gate_once(self, monkeypatch):
         calls = Counter()
 
@@ -391,7 +404,7 @@ class TestResolvedCircuit:
     a runner reuses its ops under an equal table only."""
 
     # the Deutsch program, then one with a gate after a measure, which runs per shot
-    SOURCES = (lang.deutsch_source("const0"), lang.deutsch_source("const0") + "H y\nmeasure y\n")
+    SOURCES = (deutsch_source("const0"), deutsch_source("const0") + "H y\nmeasure y\n")
 
     @pytest.mark.parametrize("source", SOURCES, ids=["terminal", "per shot"])
     def test_a_rebound_oracle_table_is_resolved_afresh(self, source):
@@ -411,7 +424,7 @@ class TestResolvedCircuit:
         assert fc.run_circuit(compiled, oracles, 0).measured[0][1] == 0
 
     def test_a_resolved_circuit_equals_and_hashes_like_its_instructions(self):
-        compiled, oracles = lang.compile_program(lang.parse_source(lang.deutsch_source("id")))
+        compiled, oracles = lang.compile_program(lang.parse_source(deutsch_source("id")))
         assert compiled.ops is not None
         assert compiled == fc.deutsch_circuit() == Circuit(compiled.instructions)
         assert hash(compiled) == hash(fc.deutsch_circuit())
@@ -797,10 +810,10 @@ def wide_terminal_circuit(rng, repeat=False):
     return fc.validate_circuit(Circuit(instructions + measures), oracles), oracles
 
 
-def terminal_circuit(rng):
-    """A valid random program of 1-6 qubits with its measures moved after
-    its last gate, in their order, and its oracle table."""
-    program = lang.parse_source(random_program(rng, max_qubits=6, max_statements=30))
+def terminal_circuit(rng, max_qubits=6):
+    """A valid random program of 1 to max_qubits qubits with its measures
+    moved after its last gate, in their order, and its oracle table."""
+    program = lang.parse_source(random_program(rng, max_qubits=max_qubits, max_statements=30))
     statements = program.statements
     body = [s for s in statements if not isinstance(s, Measure)]
     measures = [s for s in statements if isinstance(s, Measure)]

@@ -16,14 +16,14 @@ from fqz import circuit, cli, lang
 from fqz.circuit import run_shots
 
 import golden_corpus
-from fuzz_programs import mutate, random_program
+from fuzz_programs import deutsch_source, mutate, random_program
 
 
 @pytest.fixture
 def deutsch_file(tmp_path):
     def write(oracle="const0"):
         path = tmp_path / f"deutsch_{oracle}.fqz"
-        path.write_text(lang.deutsch_source(oracle), encoding="utf-8")
+        path.write_text(deutsch_source(oracle), encoding="utf-8")
         return str(path)
 
     return write
@@ -364,7 +364,7 @@ class TestOneWalk:
     statement reaches circuit._resolve exactly once."""
 
     SOURCES = {
-        "terminal": lang.deutsch_source("id"),
+        "terminal": deutsch_source("id"),
         "mid-circuit": "oracle f = not\nqubit a = H|0>\nqubit b = |1>\nN[f] a b\nmeasure a\nH b\nR(0.5) a\nmeasure b\n",
     }
     COMMANDS = [

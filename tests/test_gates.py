@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from brute_force import rank_search_colliding_inputs, rank_search_mapping_to_matrix
+from brute_force import builtin_gates, is_hermitian, rank_search_colliding_inputs, rank_search_mapping_to_matrix
 
 from fqz import gates
 from fqz.circuit import OracleFn, oracle_gate
-from fqz.linalg import approx_equal, is_hermitian, is_unitary
+from fqz.linalg import approx_equal, is_unitary
 
 ATOL = 1e-9
 
@@ -26,7 +26,7 @@ EXPECTED = {
 
 
 def all_builtins():
-    return gates.builtin_gates() + (gates.phase_shift(math.pi / 2),)
+    return builtin_gates() + (gates.phase_shift(math.pi / 2),)
 
 
 class TestMatrices:

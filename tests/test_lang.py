@@ -2,13 +2,14 @@ import math
 import random
 import re
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fuzz_programs import mutate, random_program
+from fuzz_programs import deutsch_source, mutate, random_program
 from fqz import circuit as fc
 from fqz import lang
 from fqz.lang import (
@@ -27,7 +28,7 @@ from fqz.lang import (
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
 
-DEUTSCH_SRC = lang.deutsch_source("const0")
+DEUTSCH_SRC = deutsch_source("const0")
 
 
 def kinds(source):
@@ -291,7 +292,7 @@ class TestCompile:
 
     def test_compiled_deutsch_runs_like_the_builtin(self):
         for keyword, fn in fc.ORACLE_KEYWORDS.items():
-            p = lang.parse_source(lang.deutsch_source(keyword))
+            p = lang.parse_source(deutsch_source(keyword))
             circuit, oracles = lang.compile_program(p)
             report = fc.run_circuit(circuit, oracles, seed=3)
             assert report.measured[0][1] == fc.deutsch(fn, seed=3).measured_bit
@@ -435,8 +436,8 @@ def _ref_ket(source, bar, line, col, prefix=""):
 
 
 def lexed(tokenize, source):
-    """The token stream, or the ParseError's message, location and expected
-    kinds."""
+    """What tokenize (or a parser passed in its place) returns for source,
+    or the ParseError's message, location and expected kinds."""
     try:
         return tokenize(source)
     except ParseError as err:
@@ -512,3 +513,106 @@ class TestLexerAgainstReference:
         assert tok._fields == ("kind", "lexeme", "line", "column")
         with pytest.raises(AttributeError):
             tok.line = 2
+
+
+# ---------------------------------------------------------------------------
+# parse_source reads a valid program one _LINE_RE match per line and hands
+# any other source to parse(tokenize(source)). The line parser must accept
+# exactly the sources the token parser accepts, with the same statements at
+# the same positions.
+
+
+def positions(program):
+    """Each declaration's and statement's line and column, and each angle's repr."""
+    return [(d.line, d.column) for d in program.oracle_decls] + [
+        (s.line, s.column, repr(getattr(s, "parameter", None))) for s in program.statements
+    ]
+
+
+def assert_parses_like_the_token_parser(source):
+    expected = lexed(lambda s: lang.parse(lang.tokenize(s)), source)
+    program = lang._parse_lines(source)
+    if isinstance(expected, Program):
+        assert program is not None, repr(source)
+        assert (program, positions(program)) == (expected, positions(expected)), repr(source)
+    else:  # parse_source falls back to the token parser
+        assert program is None, repr(source)
+        assert lexed(lang.parse_source, source) == expected, repr(source)
+
+
+STATEMENT_FRAGMENTS = [
+    *("qubit", "oracle", "measure", "const0", "const1", "id", "not", "pi", "pi/2", "pi/4", "1e999", "-0.5", ".5"),
+    *("q", "a", "f", "_x1", "Hq", "é", "٣", "=", "|0>", "|->", "H|1>", "|2>", "I", "X", "Z", "H", "R", "N"),
+    *("(", ")", "[", "]", " ", "\t", "\n", "\r\n", "\r", "--", "-- note", "@"),
+]
+
+
+class TestLineParserAgainstTokenParser:
+    @pytest.mark.parametrize("workload", workloads.WORKLOADS)
+    def test_pool_sources_and_their_corruptions(self, workload):
+        rng = random.Random(f"line-parser:{workload}")
+        for job in workloads.pool(workload):
+            assert_parses_like_the_token_parser(job.source)
+            assert_parses_like_the_token_parser(workloads.corrupt(job.source, rng))
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.text(alphabet=LEXER_ALPHABET + "é", max_size=40))
+    def test_text_over_the_lexer_alphabet(self, source):
+        assert_parses_like_the_token_parser(source)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.lists(st.sampled_from(STATEMENT_FRAGMENTS), max_size=30).map("".join))
+    def test_statement_fragment_soup(self, source):
+        assert_parses_like_the_token_parser(source)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(0, 2))
+    def test_random_programs_and_their_mutations(self, rng, mutations):
+        source = random_program(rng, max_qubits=rng.randint(1, 12), max_statements=40)
+        for _ in range(mutations):
+            source = mutate(source, rng)
+        assert_parses_like_the_token_parser(source)
+
+    @pytest.mark.parametrize(
+        "source, valid",
+        [
+            ("", True),
+            (" \t", True),
+            ("qubit q = |0>\nH q \t", True),
+            ("qubit q = |0>\r\nH q -- c\r\n\r\nmeasure q\r\n", True),
+            ("qubit q=|0>\nR(pi)q\nH q--c", True),
+            ("oracle f = id\nqubit a = |0>\nqubit b = |1>\nN[f]a b", True),
+            ("qubit q = |0>\nR(٣) q", True),
+            ("qubit H = |0>", False),
+            ("oracle qubit = id", False),
+            ("qubit pi = |0>", False),
+            ("qubit q = |0>\nR(1e999) q", False),
+            ("qubit q = |0>\nR(pi/25) q", False),
+            ("qubit q = |0>\nHq", False),
+            ("oracle f = const0x", False),
+            ("qubit q = |0>x", False),
+            ("qubit q = |0>\rH q", False),
+            ("qubit q = |0>\nH q\r", False),
+            ("é", False),
+            ("qubit é = |0>", False),
+        ],
+    )
+    def test_edge_cases(self, source, valid):
+        assert_parses_like_the_token_parser(source)
+        assert (lang._parse_lines(source) is not None) == valid
+
+    def test_a_later_lexical_error_outranks_an_earlier_syntax_error(self):
+        # line 1 uses an undeclared qubit, but tokenize fails on line 3 first
+        with pytest.raises(ParseError, match="unexpected character '@'") as err:
+            lang.parse_source("H q\n\n@")
+        assert (err.value.line, err.value.column) == (3, 1)
+
+    def test_a_long_blank_run_before_a_bad_character_fails_in_linear_time(self):
+        # with two blank runs side by side in _LINE_RE, a failed match of n
+        # blanks backtracked n**2 / 2 times: ~2 s at 8,000 and ~1 min here;
+        # one run keeps it near 10 ms
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="unexpected character '@'") as err:
+            lang.parse_source("qubit q = |0>\n" + " \t" * 20_000 + "@")
+        assert time.perf_counter() - start < 2.0
+        assert (err.value.line, err.value.column) == (2, 40_001)

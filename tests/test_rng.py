@@ -51,7 +51,7 @@ def scalar_draws(root_seed, first_shot, shots, depth):
 
 def test_uniforms_are_the_scalar_draws_bit_for_bit():
     # 4 roots x 78 draws per shot (depths 1-12) x 5 starts x 81 shots:
-    # 126,360 draws. 80 shots take the array path, 1 shot the scalar one.
+    # 126,360 draws, in blocks of 80 shots and of 1.
     for root in (0, 7, 2**63 + 11, 2**64 - 1):
         for depth in range(1, 13):
             block_edge = circuit.BLOCK_DRAWS // depth  # the first shot of the engine's second block
