@@ -7,6 +7,7 @@ matrix it induces, so the two definitions cross-check each other. Input
 labels are distinct kets of one alphabet ({0, 1, +, -} for one qubit, the
 computational basis for two), any 2**arity of which are independent: the
 first 2**arity pairs fix the matrix, and each further pair is checked.
+Basis-ket inputs are inverted exactly by transposing (mapping_to_matrix).
 
 Conventions used everywhere in this package:
   * big-endian qubit order: in a two-qubit label "xy", x is the most
@@ -122,19 +123,27 @@ def mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.nda
     pair (Hadamard's are quoted in both bases) is held against U, and the
     first that disagrees is named. Mappings that fail to induce a unitary
     are rejected, in particular two inputs sent to the same state.
+
+    Exactly 2**arity basis-labelled inputs (every built-in but H) form a
+    permutation P that LAPACK inverts exactly to P^T. A built P^T gives the
+    same bytes (zgemm signs Z's U[1, 0] -0; a column move would not), and,
+    finite values times 1 or 0 being exact, residuals of exactly 0.
     """
     dim = 2**mapping.arity
     if not mapping.pairs:
         raise MappingError("empty mapping")
     if len(mapping.pairs) < dim:
         raise MappingError(f"mapping is not total: its {len(mapping.pairs)} input kets do not span dimension {dim}")
-    v_in = np.array([ket_vector(label, mapping.arity) for label, _ in mapping.pairs]).T
     v_out = mapping._outputs
-    u = v_out[:, :dim] @ np.linalg.inv(v_in[:, :dim])
-    residuals = np.abs(u @ v_in - v_out).max(axis=0)
-    for (label, expr), residual in zip(mapping.pairs, residuals):
-        if residual > tol:
-            raise MappingError(f"pair |{label}> -> {_expr_text(expr)} is inconsistent with the other pairs")
+    if len(mapping.pairs) == dim and {"+", "-"}.isdisjoint(label for label, _ in mapping.pairs):
+        u = v_out @ np.eye(dim, dtype=np.complex128)[[int(label, 2) for label, _ in mapping.pairs]]
+    else:
+        v_in = np.array([ket_vector(label, mapping.arity) for label, _ in mapping.pairs]).T
+        u = v_out[:, :dim] @ np.linalg.inv(v_in[:, :dim])
+        residuals = np.abs(u @ v_in - v_out).max(axis=0)
+        for (label, expr), residual in zip(mapping.pairs, residuals):
+            if residual > tol:
+                raise MappingError(f"pair |{label}> -> {_expr_text(expr)} is inconsistent with the other pairs")
     if not is_unitary(u, tol):
         collision = colliding_inputs(mapping, tol)
         if collision is not None:

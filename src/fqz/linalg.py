@@ -35,16 +35,6 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
-def approx_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
-    """True iff a and b share a shape and agree entrywise within tol."""
-    check_tol(tol)
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != b.shape:
-        return False
-    return float(np.abs(a - b).max()) <= tol
-
-
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
     """True iff m·m† and m†·m both equal the identity within tol (False
     when a product of huge finite entries overflows to inf or NaN)."""

@@ -10,8 +10,18 @@ a greedy matrix_rank search (one SVD per candidate) and builds every ket
 vector afresh wherever it needs one. The library must agree with it byte
 for byte on the matrix and word for word on every MappingError.
 
+inverting_mapping_to_matrix and inverting_check_gate are
+gates.mapping_to_matrix and checker.check_gate as they were before the
+first built the inverse of basis-ket inputs as their transpose: the
+matrix always comes from inv() of the defining inputs and every residual
+is computed, and GATE-M compares through approx_equal, which re-coerces
+both matrices and re-checks the tolerance. The library must agree with
+them byte for byte on the matrix, word for word on every MappingError,
+and on every rule of a report, for every valid tolerance.
+
 conjugate_transpose and is_hermitian are the adjoint and the Hermitian
-test the checker's OBS-2 rule computes inline; builtin_gates is one shared
+test the checker's OBS-2 rule computes inline; approx_equal is the
+entrywise comparison GATE-M computes inline; builtin_gates is one shared
 instance of every fixed built-in gate (R excluded: it needs an angle).
 """
 from __future__ import annotations
@@ -21,8 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from fqz.gates import BasisMapping, Gate, KetExpr, MappingError, gate, ket_vector
-from fqz.linalg import DEFAULT_TOL, as_matrix, check_tol
+from fqz.checker import CheckReport, CheckResult
+from fqz.gates import BasisMapping, Gate, KetExpr, MappingError, colliding_inputs, gate, ket_vector
+from fqz.linalg import DEFAULT_TOL, as_matrix, check_tol, is_unitary
 
 
 def builtin_gates() -> tuple[Gate, ...]:
@@ -41,6 +52,16 @@ def is_hermitian(m, tol: float = DEFAULT_TOL) -> bool:
         return False
     check_tol(tol)
     return float(np.abs(m - m.conj().T).max()) <= tol
+
+
+def approx_equal(a, b, tol: float = DEFAULT_TOL) -> bool:
+    """True iff a and b share a shape and agree entrywise within tol."""
+    check_tol(tol)
+    a = as_matrix(a)
+    b = as_matrix(b)
+    if a.shape != b.shape:
+        return False
+    return float(np.abs(a - b).max()) <= tol
 
 
 def expanded_unitary(g: Gate, targets: Sequence[int], n_qubits: int) -> np.ndarray:
@@ -98,6 +119,67 @@ def rank_search_mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TO
             raise MappingError(f"inputs |{a}> and |{b}> map to the same state, so the mapping is not injective")
         raise MappingError("mapping does not induce a unitary matrix")
     return u
+
+
+def inverting_mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """mapping_to_matrix solving U from inv() of the first 2**arity
+    inputs and checking every pair's residual."""
+    dim = 2**mapping.arity
+    if not mapping.pairs:
+        raise MappingError("empty mapping")
+    if len(mapping.pairs) < dim:
+        raise MappingError(f"mapping is not total: its {len(mapping.pairs)} input kets do not span dimension {dim}")
+    v_in = np.array([ket_vector(label, mapping.arity) for label, _ in mapping.pairs]).T
+    v_out = np.array([expr.vector(mapping.arity) for _, expr in mapping.pairs]).T
+    u = v_out[:, :dim] @ np.linalg.inv(v_in[:, :dim])
+    residuals = np.abs(u @ v_in - v_out).max(axis=0)
+    for (label, expr), residual in zip(mapping.pairs, residuals):
+        if residual > tol:
+            raise MappingError(f"pair |{label}> -> {_expr_text(expr)} is inconsistent with the other pairs")
+    if not is_unitary(u, tol):
+        collision = colliding_inputs(mapping, tol)
+        if collision is not None:
+            a, b = collision
+            raise MappingError(f"inputs |{a}> and |{b}> map to the same state, so the mapping is not injective")
+        raise MappingError("mapping does not induce a unitary matrix")
+    return u
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def inverting_check_gate(g: Gate, tol: float = DEFAULT_TOL) -> CheckReport:
+    """check_gate over inverting_mapping_to_matrix and approx_equal."""
+    try:
+        matrix = as_matrix(g.matrix)
+    except ValueError as exc:
+        matrix = None
+        unitary, detail = False, str(exc)
+    else:
+        unitary, detail = is_unitary(matrix, tol), f"arity {g.arity}"
+    checks = [CheckResult("GATE-U", f"matrix of {g.name} is unitary", unitary, detail)]
+
+    if matrix is None:
+        consistent, detail = False, "skipped: not a matrix"
+    elif g.mapping is None:
+        consistent, detail = True, "no mapping given"
+    else:
+        try:
+            induced = inverting_mapping_to_matrix(g.mapping, tol)
+            consistent = approx_equal(induced, matrix, tol)
+            detail = "induced matrix agrees" if consistent else "induced matrix differs"
+        except MappingError as exc:
+            consistent = False
+            detail = str(exc)
+    checks.append(CheckResult("GATE-M", f"{g.name} matrix matches its mapping", consistent, detail))
+
+    collision = None if g.mapping is None else colliding_inputs(g.mapping, tol)
+    if g.mapping is None:
+        detail = "no mapping given"
+    elif collision is None:
+        detail = "all mapping outputs distinct"
+    else:
+        detail = f"inputs |{collision[0]}> and |{collision[1]}> map to the same state"
+    checks.append(CheckResult("GATE-INJ", f"mapping of {g.name} is injective", collision is None, detail))
+    return CheckReport(g.name, tuple(checks))
 
 
 def rank_search_colliding_inputs(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> tuple[str, str] | None:

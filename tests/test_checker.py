@@ -83,6 +83,26 @@ class TestCheckObservable:
         assert a == b
 
 
+# One subject of each kind the rules tell apart: a valid matrix, one that
+# is not square, and one that is not finite.
+_SUBJECTS = {
+    "gate X": lambda tol: checker.check_gate(gates.gate("X"), tol=tol),
+    "non-square gate": lambda tol: checker.check_gate(gates.Gate("B", 1, np.ones((2, 3))), tol=tol),
+    "NaN gate without mapping": lambda tol: checker.check_gate(gates.Gate("N", 1, [[math.nan, 0], [0, 1]]), tol=tol),
+    "non-square observable": lambda tol: checker.check_observable(np.ones((2, 3)), tol=tol),
+    "identity observable": lambda tol: checker.check_observable(np.eye(2), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, 1.0, 2.0])
+@pytest.mark.parametrize("subject", _SUBJECTS)
+def test_a_tolerance_outside_the_unit_interval_raises_for_every_subject(subject, tol):
+    # the tolerance is checked before the subject is looked at, so a broken
+    # subject does not make a bad tolerance pass
+    with pytest.raises(ValueError, match="tolerance must lie in"):
+        _SUBJECTS[subject](tol)
+
+
 class TestCheckGate:
     @pytest.mark.parametrize("g", builtin_gates() + (gates.phase_shift(math.pi / 2),), ids=lambda g: g.name)
     def test_builtins_pass_all_rules(self, g):

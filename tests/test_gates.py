@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from brute_force import builtin_gates, is_hermitian, rank_search_colliding_inputs, rank_search_mapping_to_matrix
+from brute_force import (
+    approx_equal,
+    builtin_gates,
+    is_hermitian,
+    rank_search_colliding_inputs,
+    rank_search_mapping_to_matrix,
+)
 
 from fqz import gates
 from fqz.circuit import OracleFn, oracle_gate
-from fqz.linalg import approx_equal, is_unitary
+from fqz.linalg import is_unitary
 
 ATOL = 1e-9
 
