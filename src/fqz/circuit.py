@@ -15,7 +15,8 @@ checker's PROG-SCOPE rule defer to it) and returns it resolved. The
 runners reuse a resolved circuit under an equal oracle table and
 validate any other first. A terminal program (every measure after the
 last gate) run for 2+ shots runs its gates once and splits the shots a
-measure at a time, on compacted states; any other runs per shot.
+measure at a time, on compacted states. Any other re-runs every step per
+shot; only shot 0 gets a report, the rest are read off iter_steps' bits.
 """
 from __future__ import annotations
 
@@ -239,24 +240,22 @@ def iter_steps(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) -> 
     (circuit, oracles, seed).
     """
     circuit = _resolved(circuit, oracles)
-    instructions = circuit.instructions
     rng = SplitMix64(seed)
     psi = np.ones(1, dtype=np.complex128)
-    for i, op in enumerate(circuit.ops):
-        measured = None
-        pre = None
-        if op[0] == "state":
-            psi = op[1]
-        elif op[0] == "alloc":
-            psi = np.multiply.outer(psi, op[1]).reshape(-1)
-        elif op[0] == "gate":
+    record = tuple.__new__  # builds a Step in C, without NamedTuple's Python __new__
+    for i, (ins, op) in enumerate(zip(circuit.instructions, circuit.ops)):
+        kind, measured, pre = op[0], None, None
+        if kind == "gate":
             psi = state.apply_gate(psi, op[1], op[2])
-        else:
+        elif kind == "measure":
             pre = psi
-            result = state.measure_qubit(psi, op[1], rng.next_u64())
-            measured = (instructions[i].name, result.bit, result.probability)
-            psi = result.post_state
-        yield Step(i, instructions[i], psi, measured, pre)
+            bit, psi, probability = state.measure_qubit(pre, op[1], rng.next_u64())
+            measured = (ins.name, bit, probability)
+        elif kind == "state":
+            psi = op[1]
+        else:
+            psi = np.multiply.outer(psi, op[1]).reshape(-1)
+        yield record(Step, (i, ins, psi, measured, pre))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +307,9 @@ def run_shots(circuit: Circuit, oracles: Mapping[str, OracleFn], root_seed: int,
     """Batch execution. Shot i runs with seed mix64(root_seed XOR i); the
     returned report is shot 0's, with the outcome tally attached in order
     of first appearance. The circuit is resolved at most once; a terminal
-    program run for 2+ shots takes _trie_shots, any other runs per shot."""
+    program run for 2+ shots takes _trie_shots. Any other runs shot 0
+    through run_circuit and tallies each later shot by joining the bits
+    its iter_steps records carry, building no report for it."""
     if shots < 1:
         raise ValueError(f"shot count must be >= 1, got {shots}")
     circuit = _resolved(circuit, oracles)
@@ -318,7 +319,8 @@ def run_shots(circuit: Circuit, oracles: Mapping[str, OracleFn], root_seed: int,
     first = run_circuit(circuit, oracles, shot_seed(root_seed, 0))
     counts = {first.outcome: 1}
     for i in range(1, shots):
-        outcome = run_circuit(circuit, oracles, shot_seed(root_seed, i)).outcome
+        steps = iter_steps(circuit, oracles, shot_seed(root_seed, i))
+        outcome = "".join([str(step.measured[1]) for step in steps if step.measured is not None])
         counts[outcome] = counts.get(outcome, 0) + 1
     return RunReport(first.final_state, first.measured, first.pre_measure_states, counts)
 

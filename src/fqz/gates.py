@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix, is_unitary
+from .linalg import DEFAULT_TOL, as_matrix, check_tol, is_unitary
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -129,6 +129,7 @@ def mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.nda
     same bytes (zgemm signs Z's U[1, 0] -0; a column move would not), and,
     finite values times 1 or 0 being exact, residuals of exactly 0.
     """
+    check_tol(tol)
     dim = 2**mapping.arity
     if not mapping.pairs:
         raise MappingError("empty mapping")

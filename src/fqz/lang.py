@@ -37,15 +37,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import circuit
-from .circuit import (
-    ORACLE_KEYWORDS,
-    Alloc,
-    Apply,
-    ApplyOracle,
-    Circuit,
-    Measure,
-    OracleFn,
-)
+from .circuit import ORACLE_KEYWORDS, Alloc, Apply, ApplyOracle, Circuit, Measure, OracleFn
 
 
 class TokenKind(Enum):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -27,21 +28,22 @@ MAX_QUBITS = 12
 # plus scatter beats the reshape/transpose copies below ~11 qubits; at 8
 # every placement of arity <= 2 on 1-8 qubits caches ~204 KB in total.
 GATHER_MAX_QUBITS = 8
+COMPLEX128 = np.dtype(np.complex128)  # a singleton: testing for it costs less than np.asarray
 
 
 def as_state(data) -> np.ndarray:
-    """Coerce to a 1-D complex128 amplitude vector of power-of-two length.
+    """Coerce to a 1-D complex128 amplitude vector of power-of-two length;
+    a complex128 ndarray is not coerced again, only checked and returned.
 
     A finite s.dot(s) implies finite amplitudes; on inf, nan or its
     overflow (about 1e154 and up), the exact elementwise test decides.
     numpy then emits a RuntimeWarning ("overflow" or "invalid value
     encountered in dot"), left alone: np.errstate costs ~3 us per call,
     most of what the dot saves over the elementwise test."""
-    s = np.asarray(data, dtype=np.complex128)
+    s = data if type(data) is np.ndarray and data.dtype is COMPLEX128 else np.asarray(data, dtype=COMPLEX128)
     if s.ndim != 1:
         raise ValueError(f"expected a 1-D amplitude vector, got shape {s.shape}")
-    n = int(s.size).bit_length() - 1
-    if s.size != 2**n:
+    if not s.size or s.size & (s.size - 1):
         raise ValueError(f"amplitude vector length must be a power of two, got {s.size}")
     if not cmath.isfinite(s.dot(s)) and not np.isfinite(s).all():
         raise ValueError("amplitudes must be finite")
@@ -124,7 +126,9 @@ def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
         found = tuple(map(int, targets))
         raise ValueError(f"gate {g.name} has arity {g.arity} but got {len(targets)} target(s) {found}")
     _, shape, axes, moved, inverse, rows = _cached_layout(targets, n)
-    matrix = np.asarray(g.matrix, dtype=np.complex128)
+    matrix = g.matrix
+    if type(matrix) is not np.ndarray or matrix.dtype is not COMPLEX128:
+        matrix = np.asarray(matrix, dtype=COMPLEX128)
     if n <= GATHER_MAX_QUBITS:
         index = _gather_index(targets, n)
         out = np.empty_like(psi)
@@ -164,9 +168,10 @@ def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
         raise ValueError(f"target qubit {target} out of range for a {n}-qubit register")
     p_one = branch_probability(psi, target)
     bit = 1 if SplitMix64(seed).next_float() < p_one else 0
-    if bit == 0 and p_one > 0 and not psi.reshape(2**target, 2, -1)[:, 0, :].any():
+    branches = psi.reshape(2**target, 2, -1)
+    if bit == 0 and p_one > 0 and not np.count_nonzero(branches[:, 0, :]):
         bit = 1  # a drifted state can leave the sampled branch empty
     prob = p_one if bit == 1 else 1.0 - p_one
-    post = np.zeros_like(psi)  # only branch `bit` is written, divided by sqrt(prob)
-    np.divide(psi.reshape(2**target, 2, -1)[:, bit, :], np.sqrt(prob), out=post.reshape(2**target, 2, -1)[:, bit, :])
+    post = np.zeros(psi.size, dtype=COMPLEX128)  # only branch `bit` is written, divided by sqrt(prob)
+    np.divide(branches[:, bit, :], math.sqrt(prob), out=post.reshape(branches.shape)[:, bit, :])
     return MeasurementResult(bit, post, prob)

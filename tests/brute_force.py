@@ -19,6 +19,12 @@ both matrices and re-checks the tolerance. The library must agree with
 them byte for byte on the matrix, word for word on every MappingError,
 and on every rule of a report, for every valid tolerance.
 
+reference_measure_qubit is state.measure_qubit as it was before it wrote
+its post-state with np.zeros, math.sqrt and one reshape of the state, and
+tested the empty branch with np.count_nonzero: np.zeros_like, np.sqrt,
+.any() and a branch view built per use. The library must agree with it
+on the bit, the bits of the probability and the bytes of the post-state.
+
 conjugate_transpose and is_hermitian are the adjoint and the Hermitian
 test the checker's OBS-2 rule computes inline; approx_equal is the
 entrywise comparison GATE-M computes inline; builtin_gates is one shared
@@ -34,6 +40,8 @@ import numpy as np
 from fqz.checker import CheckReport, CheckResult
 from fqz.gates import BasisMapping, Gate, KetExpr, MappingError, colliding_inputs, gate, ket_vector
 from fqz.linalg import DEFAULT_TOL, as_matrix, check_tol, is_unitary
+from fqz.rng import SplitMix64
+from fqz.state import MeasurementResult, branch_probability
 
 
 def builtin_gates() -> tuple[Gate, ...]:
@@ -87,6 +95,19 @@ def expanded_unitary(g: Gate, targets: Sequence[int], n_qubits: int) -> np.ndarr
             j |= bit << (n - 1 - pos)
         perm[j, i] = 1.0
     return perm.T @ big @ perm
+
+
+def reference_measure_qubit(state, target: int, seed: int) -> MeasurementResult:
+    """measure_qubit's result on a valid state and target (see the module docstring)."""
+    psi = np.asarray(state, dtype=np.complex128)
+    p_one = branch_probability(psi, target)
+    bit = 1 if SplitMix64(seed).next_float() < p_one else 0
+    if bit == 0 and p_one > 0 and not psi.reshape(2**target, 2, -1)[:, 0, :].any():
+        bit = 1  # a drifted state can leave the sampled branch empty
+    prob = p_one if bit == 1 else 1.0 - p_one
+    post = np.zeros_like(psi)  # only branch `bit` is written, divided by sqrt(prob)
+    np.divide(psi.reshape(2**target, 2, -1)[:, bit, :], np.sqrt(prob), out=post.reshape(2**target, 2, -1)[:, bit, :])
+    return MeasurementResult(bit, post, prob)
 
 
 def rank_search_mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -19,7 +19,8 @@ from fqz.circuit import (
     OracleFn,
     Verdict,
 )
-from fqz.rng import shot_seed
+from brute_force import reference_measure_qubit
+from fqz.rng import SplitMix64, shot_seed
 from fuzz_programs import deutsch_source, random_program
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -222,6 +223,65 @@ class TestRunShots:
             assert report.shots == dict(Counter(r.outcome for r in singles))
             assert report.amplitudes.tobytes() == singles[0].amplitudes.tobytes()
             assert report.final_state.tobytes() == singles[0].final_state.tobytes()
+
+    @pytest.mark.parametrize("shots", [1, 2, 100])
+    def test_every_shot_of_a_midcircuit_program_re_simulates(self, shots, monkeypatch):
+        """The traced benchmark pins these counts: each shot is one iter_steps
+        run of every instruction, one apply_gate per gate, one measure_qubit
+        per measure, one shot seed and two splitmix64 draws per measure."""
+        calls = Counter()
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        iter_steps = fc.iter_steps
+
+        def steps_spy(*args):
+            calls["iter_steps"] += 1
+            for step in iter_steps(*args):
+                calls["steps"] += 1
+                yield step
+
+        for owner, name in ((state, "apply_gate"), (state, "measure_qubit"), (fc, "shot_seed"), (SplitMix64, "next_u64")):
+            spy(owner, name)
+        monkeypatch.setattr(fc, "iter_steps", steps_spy)
+        c = Circuit(
+            (
+                Alloc("a", "H|0>"),
+                Alloc("b", "|1>"),
+                ApplyOracle("f", "a", "b"),
+                Measure("a"),
+                Apply("H", ("a",)),
+                Alloc("c", "|+>"),
+                Apply("CNOT", ("a", "c")),
+                Measure("a"),
+                Apply("R", ("b",), 0.5),
+                Measure("c"),
+                Measure("a"),
+            )
+        )
+        fc.run_shots(c, {"f": OracleFn.NEGATION}, 11, shots)
+        assert calls == {
+            "iter_steps": shots,
+            "steps": len(c) * shots,
+            "apply_gate": 4 * shots,
+            "measure_qubit": 4 * shots,
+            "shot_seed": shots,
+            "next_u64": 2 * 4 * shots,
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.sampled_from([1, 2, 37]), st.integers(0, 2**64 - 1))
+    def test_midcircuit_programs_match_the_reference_shot_loop(self, program_seed, shots, root):
+        c, oracles = midcircuit_circuit(random.Random(program_seed))
+        expected = report_record(reference_run_shots(c, oracles, root, shots))
+        assert report_record(fc.run_shots(c, oracles, root, shots)) == expected
 
 
 class TestShotEngine:
@@ -759,16 +819,40 @@ class TestCompactedNodes:
         assert report_record(fc._trie_shots(c, n, root, 12)) == expected
 
 
+def reference_run_circuit(circuit, seed):
+    """One shot of a resolved circuit as run_circuit ran it before iter_steps
+    tested for gates first and built its records through tuple.__new__:
+    the ops in order, and measure_qubit as it was
+    (brute_force.reference_measure_qubit)."""
+    rng = SplitMix64(seed)
+    psi = np.ones(1, dtype=np.complex128)
+    measured, pres = [], []
+    for ins, op in zip(circuit.instructions, circuit.ops):
+        if op[0] == "state":
+            psi = op[1]
+        elif op[0] == "alloc":
+            psi = np.multiply.outer(psi, op[1]).reshape(-1)
+        elif op[0] == "gate":
+            psi = state.apply_gate(psi, op[1], op[2])
+        else:
+            pres.append(psi)
+            result = reference_measure_qubit(psi, op[1], rng.next_u64())
+            measured.append((ins.name, result.bit, result.probability))
+            psi = result.post_state
+    return fc.RunReport(psi, tuple(measured), tuple(pres))
+
+
 def reference_run_shots(circuit, oracles, root_seed, shots):
-    """run_shots before the shot engine: one run_circuit per shot, each
-    re-running every gate. Reference for bit-identity; a resolved circuit
-    runs with the ops it carries."""
+    """run_shots before the shot engine: a whole run per shot, each
+    re-running every gate, tallied by the outcome of its report.
+    Reference for bit-identity; a resolved circuit runs with the ops it
+    carries."""
     if circuit.ops is None:
         circuit = fc.validate_circuit(circuit, oracles)
     counts = {}
     first = None
     for i in range(shots):
-        report = fc.run_circuit(circuit, oracles, shot_seed(root_seed, i))
+        report = reference_run_circuit(circuit, shot_seed(root_seed, i))
         if first is None:
             first = report
         counts[report.outcome] = counts.get(report.outcome, 0) + 1
@@ -818,3 +902,20 @@ def terminal_circuit(rng, max_qubits=6):
     body = [s for s in statements if not isinstance(s, Measure)]
     measures = [s for s in statements if isinstance(s, Measure)]
     return Circuit(body + measures), {decl.name: decl.fn for decl in program.oracle_decls}
+
+
+def midcircuit_circuit(rng, max_qubits=6):
+    """A valid random program of 1 to max_qubits - 1 qubits with a run
+    inserted after some qubit q is allocated: measure q, gate it, allocate
+    one more qubit, entangle it with q, measure q twice, then the new
+    qubit. The program's own measures stay interleaved with its gates."""
+    program = lang.parse_source(random_program(rng, max_qubits=rng.randint(1, max_qubits - 1), max_statements=30))
+    statements = list(program.statements)
+    allocs = [i for i, s in enumerate(statements) if isinstance(s, Alloc)]
+    at = rng.choice(allocs)
+    q = statements[at].name
+    k = rng.randint(at + 1, len(statements))
+    late = Alloc("late", rng.choice(list(fc.KET_VECTORS)))
+    run = [Measure(q), Apply("H", (q,)), late, Apply("CNOT", (q, "late")), Measure(q), Measure(q), Measure("late")]
+    statements[k:k] = run
+    return Circuit(statements), {decl.name: decl.fn for decl in program.oracle_decls}

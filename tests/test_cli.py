@@ -225,6 +225,12 @@ class TestAmplitudeRows:
 
     RAW = st.integers(0, 2**64 - 1).map(double).filter(math.isfinite)
     PARTS = st.one_of(RAW, st.sampled_from(EDGES))
+    # drawn directly: nearly every raw double fails `common`, and filtering
+    # PARTS by it tripped hypothesis's filter_too_much health check
+    COMMON_PARTS = st.one_of(
+        st.sampled_from([x for x in EDGES if common(x)]),
+        st.builds(math.copysign, st.floats(MIN_NORMAL, 1.5), st.sampled_from([1.0, -1.0])),
+    )
 
     @staticmethod
     def vector(n, parts, seed):
@@ -233,7 +239,7 @@ class TestAmplitudeRows:
         return values.view(np.complex128)
 
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 12), st.lists(PARTS.filter(common), min_size=1, max_size=16), st.integers(0, 2**32))
+    @given(st.integers(1, 12), st.lists(COMMON_PARTS, min_size=1, max_size=16), st.integers(0, 2**32))
     def test_common_path_property(self, n, parts, seed):
         assert not self.assert_same_json(self.vector(n, parts, seed))
 

@@ -123,6 +123,18 @@ class TestMappingToMatrix:
         with pytest.raises(gates.MappingError, match=r"\|\+>"):
             gates.mapping_to_matrix(mapping)
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "mapping",
+        [gates.hadamard().mapping, gates.cnot().mapping, oracle_gate("f", OracleFn.NEGATION).mapping],
+        ids=["H", "CNOT", "N[f]"],
+    )
+    def test_a_tolerance_outside_the_unit_interval_raises_first(self, mapping, tol):
+        # H alone takes the residual path, where tol = 0 or -1 used to name a
+        # pair as inconsistent instead
+        with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1\)"):
+            gates.mapping_to_matrix(mapping, tol)
+
     def test_rejects_nonunitary_but_injective_mapping(self):
         # injective on the quoted kets yet not norm-preserving overall
         expr = gates.KetExpr(((complex(SQRT_HALF), "0"), (complex(SQRT_HALF), "1")))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import expanded_unitary
+from brute_force import expanded_unitary, reference_measure_qubit
 from fqz import gates, state
 from fqz.circuit import OracleFn, oracle_gate
 from fqz.rng import SplitMix64
@@ -395,6 +395,54 @@ class TestMeasureQubitBitIdentity:
                     bit, prob, post = mask_measure(psi, target, seed)
                     assert (r.bit, r.probability) == (bit, prob), (target, seed)
                     assert r.post_state.tobytes() == post.tobytes(), (target, seed)
+
+
+@st.composite
+def measured_states(draw):
+    """A 1-12 qubit state of norm about 0.9, 1 or 1.1 whose parts include
+    zeros of both signs, subnormals and 1e-160 (whose square is subnormal);
+    one branch of one qubit may hold nothing but signed zeros."""
+    n = draw(st.integers(1, state.MAX_QUBITS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi *= draw(st.sampled_from([0.9, 1.0, 1.1])) / np.linalg.norm(psi)
+    specials = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-160, -1e-160])
+    for part in (psi.real, psi.imag):
+        picked = rng.random(2**n) < draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+        part[picked] = rng.choice(specials, size=int(picked.sum()))
+    emptied = draw(st.sampled_from([None, 0, 1]))
+    if emptied is not None:
+        branch = psi.reshape(2 ** draw(st.integers(0, n - 1)), 2, -1)[:, emptied, :]
+        for part in (branch.real, branch.imag):
+            part[...] = rng.choice([0.0, -0.0], size=part.shape)
+    return psi
+
+
+class TestMeasureQubitAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(measured_states(), st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    def test_same_bit_probability_and_post_state_bytes(self, psi, seeds):
+        for target in range(psi.size.bit_length() - 1):
+            for seed in seeds:
+                r = state.measure_qubit(psi, target, seed)
+                expected = reference_measure_qubit(psi, target, seed)
+                assert (r.bit, r.probability.hex()) == (expected.bit, expected.probability.hex()), (target, seed)
+                assert r.post_state.tobytes() == expected.post_state.tobytes(), (target, seed)
+                assert r.post_state.flags.writeable and r.post_state is not psi
+
+    def test_the_empty_branch_rule_is_reached(self):
+        # branch 0 of qubit 1 holds only signed zeros and p(1) = 0.81, so
+        # about a fifth of the draws land in it; each must read 1
+        psi = np.zeros(8, dtype=np.complex128)
+        psi.reshape(2, 2, 2)[:, 1, :] = 0.45
+        psi.reshape(2, 2, 2)[:, 0, :].imag = -0.0
+        landed = 0
+        for seed in range(50):
+            r, expected = state.measure_qubit(psi, 1, seed), reference_measure_qubit(psi, 1, seed)
+            assert (r.bit, r.probability.hex()) == (expected.bit, expected.probability.hex()) == (1, (4 * 0.45**2).hex())
+            assert r.post_state.tobytes() == expected.post_state.tobytes()
+            landed += SplitMix64(seed).next_float() >= r.probability
+        assert landed > 0
 
 
 class TestValidation:
