@@ -5,7 +5,6 @@ the observable and gate axioms behind them, compile to a circuit, and run
 on a deterministic dense state-vector backend. The Deutsch algorithm works
 end to end: `fqz deutsch --oracle id`.
 """
-from .checker import CheckReport, CheckResult, check_gate, check_observable, check_program
 from .circuit import (
     Circuit,
     DeutschVerdict,
@@ -63,3 +62,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_CHECKER_NAMES = {"CheckReport", "CheckResult", "check_gate", "check_observable", "check_program"}
+
+
+def __getattr__(name: str):
+    # Any other name must raise here: `from . import checker` asks for the
+    # attribute "checker" first, which would otherwise come back to this.
+    if name not in _CHECKER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import checker
+
+    return getattr(checker, name)

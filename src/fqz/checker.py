@@ -24,7 +24,7 @@ matrices have real spectra) and the detail text says so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +42,7 @@ from .linalg import (
 DEFAULT_SEED = 42
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     rule: str
     description: str
     passed: bool
@@ -54,8 +53,7 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     subject: str
     checks: tuple[CheckResult, ...]
 

@@ -21,7 +21,6 @@ shot; only shot 0 gets a report, the rest are read off iter_steps' bits.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Union
@@ -58,56 +57,63 @@ ORACLE_KEYWORDS = {fn.value: fn for fn in OracleFn}
 
 
 def oracle_unitary(fn: OracleFn) -> np.ndarray:
-    """4x4 permutation sending |x,y> to |x, f(x) XOR y> (x is the control)."""
-    u = np.zeros((4, 4), dtype=np.complex128)
-    for x in (0, 1):
-        for y in (0, 1):
-            u[2 * x + (fn.evaluate(x) ^ y), 2 * x + y] = 1.0
-    return u
+    """4x4 permutation sending |x,y> to |x, f(x) XOR y> (x is the control):
+    the identity's rows so ordered, as the permutation is its own inverse."""
+    return np.eye(4, dtype=np.complex128)[[2 * x + (fn.evaluate(x) ^ y) for x in (0, 1) for y in (0, 1)]]
 
 
 @functools.lru_cache(maxsize=gates.GATE_CACHE_SIZE)
 def oracle_gate(name: str, fn: OracleFn) -> gates.Gate:
     """The oracle unitary packaged as a gate, mapping definition included;
     built once per (name, fn) and shared, so its matrix is read-only."""
-    pairs = []
-    for x in (0, 1):
-        for y in (0, 1):
-            pairs.append((f"{x}{y}", gates.ket(f"{x}{fn.evaluate(x) ^ y}")))
-    return gates.shared(gates.Gate(f"N[{name}]", 2, oracle_unitary(fn), gates.BasisMapping(2, tuple(pairs))))
+    pairs = tuple((f"{x}{y}", gates.ket(f"{x}{fn.evaluate(x) ^ y}")) for x in (0, 1) for y in (0, 1))
+    return gates.shared(gates.Gate(f"N[{name}]", 2, oracle_unitary(fn), gates.BasisMapping(2, pairs)))
 
 
-@dataclass(frozen=True)
-class Alloc:
+def _compared(n: int):
+    """__eq__, __ne__ and __hash__ on a record's first n fields (n < 0: all but
+    the last -n), unequal to any other class; tuple's own __ne__ reads all."""
+
+    def eq(a, b):
+        return type(a) is type(b) and a[:n] == b[:n]
+
+    def ne(a, b):
+        return type(a) is not type(b) or a[:n] != b[:n]
+
+    return eq, ne, lambda a: hash(a[:n])
+
+
+class Alloc(NamedTuple):
     name: str
     ket: str  # one of the keys of KET_VECTORS
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    line: int = 0
+    column: int = 0
+    __eq__, __ne__, __hash__ = _compared(-2)
 
 
-@dataclass(frozen=True)
-class Apply:
+class Apply(NamedTuple):
     gate: str
     targets: tuple[str, ...]
     parameter: float | None = None
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    line: int = 0
+    column: int = 0
+    __eq__, __ne__, __hash__ = _compared(-2)
 
 
-@dataclass(frozen=True)
-class ApplyOracle:
+class ApplyOracle(NamedTuple):
     oracle: str
     control: str
     register: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    line: int = 0
+    column: int = 0
+    __eq__, __ne__, __hash__ = _compared(-2)
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(NamedTuple):
     name: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    line: int = 0
+    column: int = 0
+    __eq__, __ne__, __hash__ = _compared(-2)
 
 
 Instruction = Union[Alloc, Apply, ApplyOracle, Measure]
@@ -122,21 +128,23 @@ class CircuitError(ValueError):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple("Circuit", [("instructions", tuple), ("ops", tuple), ("oracles", Mapping)])):
     """validate_circuit's result also carries its ops, one per instruction,
     and a read-only copy of the oracle table they were resolved under;
-    neither takes part in equality, hashing or repr."""
+    neither takes part in equality, hashing, repr or len."""
 
-    instructions: tuple[Instruction, ...]
-    ops: tuple[tuple, ...] | None = field(default=None, compare=False, repr=False)
-    oracles: Mapping[str, OracleFn] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ()
+    __eq__, __ne__, __hash__ = _compared(1)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's checks len(); this one stores a tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "instructions", tuple(self.instructions))
+    def __new__(cls, instructions, ops: tuple[tuple, ...] | None = None, oracles: Mapping[str, OracleFn] | None = None):
+        return tuple.__new__(cls, (tuple(instructions), ops, oracles))
 
     def __len__(self) -> int:
         return len(self.instructions)
+
+    def __repr__(self) -> str:
+        return f"Circuit(instructions={self.instructions!r})"
 
 
 def _check_operands(index: int, what: str, arity: int, targets: tuple, qubits: dict[str, int]) -> tuple[int, ...]:
@@ -258,8 +266,7 @@ def iter_steps(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) -> 
         yield record(Step, (i, ins, psi, measured, pre))
 
 
-@dataclass(frozen=True, eq=False)
-class RunReport:
+class RunReport(NamedTuple):
     """Outcome of executing a circuit.
 
     final_state is the register after the last instruction; the state
@@ -272,6 +279,7 @@ class RunReport:
     measured: tuple[tuple[str, int, float], ...]
     pre_measure_states: tuple[np.ndarray, ...]
     shots: dict[str, int] | None = None
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # identity, as the states are arrays
 
     @property
     def outcome(self) -> str:
@@ -395,8 +403,7 @@ class Verdict(Enum):
     BALANCED = "BALANCED"
 
 
-@dataclass(frozen=True)
-class DeutschVerdict:
+class DeutschVerdict(NamedTuple):
     verdict: Verdict
     measured_bit: int
     probability: float  # of the measured bit; 1 up to rounding

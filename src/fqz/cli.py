@@ -18,7 +18,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import checker, lang
+from . import lang
 from .circuit import ORACLE_KEYWORDS, Apply, deutsch, oracle_gate, run_shots
 from .gates import gate as gate_by_name, gate_key
 
@@ -50,26 +50,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="parse a program and run the rule checks")
-    p_check.add_argument("path", help="program file (.fqz)")
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-
     p_run = sub.add_parser("run", help="simulate a program")
-    p_run.add_argument("path", help="program file (.fqz)")
-    p_run.add_argument("--shots", type=_shots_value, default=1)
-    p_run.add_argument("--seed", type=_seed_value, default=42)
-    p_run.add_argument("--format", choices=("text", "json"), default="text")
-
     p_deutsch = sub.add_parser("deutsch", help="run the Deutsch algorithm on a built-in oracle")
+    # each subcommand's options in this order: path, --shots/--oracle, --seed, --format
+    for p in (p_check, p_run):
+        p.add_argument("path", help="program file (.fqz)")
+    p_run.add_argument("--shots", type=_shots_value, default=1)
     p_deutsch.add_argument("--oracle", choices=tuple(ORACLE_KEYWORDS), required=True)
-    p_deutsch.add_argument("--seed", type=_seed_value, default=42)
-    p_deutsch.add_argument("--format", choices=("text", "json"), default="text")
-
+    for p in (p_run, p_deutsch):
+        p.add_argument("--seed", type=_seed_value, default=42)
+    for p in (p_check, p_run, p_deutsch):
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
-
-
-def _read_program(path: str) -> lang.Program:
-    text = Path(path).read_text(encoding="utf-8")
-    return lang.parse_source(text)
 
 
 def _amplitudes_json(state) -> str:
@@ -99,7 +91,9 @@ def _gates_used(program: lang.Program):
 
 
 def cmd_check(path: str, fmt: str) -> int:
-    program = _read_program(path)
+    from . import checker  # imported here, so that only `check` pays for it
+
+    program = lang.parse_source(Path(path).read_text(encoding="utf-8"))
     checks = list(checker.check_program(program, subject=path).checks)
     for g in _gates_used(program):
         checks.extend(checker.check_gate(g).checks)
@@ -123,7 +117,7 @@ def cmd_check(path: str, fmt: str) -> int:
 
 
 def cmd_run(path: str, shots: int, seed: int, fmt: str) -> int:
-    program = _read_program(path)
+    program = lang.parse_source(Path(path).read_text(encoding="utf-8"))
     circuit, oracles = lang.compile_program(program)
     report = run_shots(circuit, oracles, seed, shots)
     counts = {k: report.shots[k] for k in sorted(report.shots)}

@@ -22,8 +22,8 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,21 +62,22 @@ def ket_vector(label: str, arity: int) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class KetExpr:
+class KetExpr(NamedTuple("KetExpr", [("terms", tuple)])):
     """Unit-norm linear combination of ket labels, e.g. e^(i*phi)|1>."""
 
-    terms: tuple[tuple[complex, str], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if not self.terms:
+    def __new__(cls, terms: tuple[tuple[complex, str], ...]):
+        if not terms:
             raise ValueError("ket expression must have at least one term")
-        labels = [label for _, label in self.terms]
+        labels = [label for _, label in terms]
         if len(set(labels)) != len(labels):
             raise ValueError(f"ket expression repeats a label: {labels}")
-        norm_sq = sum(abs(amp) ** 2 for amp, _ in self.terms)
+        norm_sq = sum(abs(amp) ** 2 for amp, _ in terms)
         if not abs(norm_sq - 1.0) <= DEFAULT_TOL:  # a NaN amplitude fails here too
             raise ValueError(f"ket expression is not unit norm: |.|^2 = {norm_sq}")
+        return super().__new__(cls, terms)
 
     def vector(self, arity: int) -> np.ndarray:
         out = np.zeros(2**arity, dtype=np.complex128)
@@ -90,21 +91,20 @@ def ket(label: str, amp: complex = 1.0) -> KetExpr:
     return KetExpr(((complex(amp), label),))
 
 
-@dataclass(frozen=True)
-class BasisMapping:
+class BasisMapping(NamedTuple("BasisMapping", [("arity", int), ("pairs", tuple)])):
     """Gate described as input ket -> output ket expression pairs."""
 
-    arity: int
-    pairs: tuple[tuple[str, KetExpr], ...]
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if self.arity not in (1, 2):
-            raise ValueError(f"gate arity must be 1 or 2, got {self.arity}")
-        inputs = [label for label, _ in self.pairs]
+    def __new__(cls, arity: int, pairs: tuple[tuple[str, KetExpr], ...]):
+        if arity not in (1, 2):
+            raise ValueError(f"gate arity must be 1 or 2, got {arity}")
+        inputs = [label for label, _ in pairs]
         for label in inputs:
-            _check_label(label, self.arity)
+            _check_label(label, arity)
         if len(set(inputs)) != len(inputs):
             raise ValueError(f"mapping repeats an input ket: {inputs}")
+        return super().__new__(cls, arity, pairs)
 
     @cached_property
     def _outputs(self) -> np.ndarray:
@@ -171,8 +171,7 @@ def _expr_text(expr: KetExpr) -> str:
     return " + ".join(f"({amp:g})|{label}>" for amp, label in expr.terms)
 
 
-@dataclass(frozen=True, eq=False)
-class Gate:
+class Gate(NamedTuple):
     """Named unitary with an optional basis-mapping definition.
 
     Construction does not re-verify unitarity; the checker module reports
@@ -184,6 +183,7 @@ class Gate:
     matrix: np.ndarray
     mapping: BasisMapping | None = None
     parameter: float | None = None
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # identity, as the matrix is an array
 
 
 def identity_gate() -> Gate:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -98,8 +97,9 @@ _WORD = r"[A-Za-z_][A-Za-z0-9_]*"
 # One match per token: leading blanks, then exactly one named group. The
 # lowercase groups are the lexical errors (a "|" or "H|" that starts no
 # ket literal, a CR without its LF, any other character); a WORD is a
-# keyword, gate name or identifier.
-_TOKEN_RE = re.compile(
+# keyword, gate name or identifier. Only a rejected source is tokenized,
+# so re compiles this at the first tokenize and caches it.
+_TOKEN_PATTERN = (
     r"[ \t]*(?:"
     r"(?P<NEWLINE>\r?\n)|(?P<COMMENT>--[^\r\n]*)"
     rf"|(?P<KET>{_KET})|(?P<bad_ket>H?\|)|(?P<NUMBER>{_NUMBER})|(?P<WORD>{_WORD})"
@@ -128,7 +128,7 @@ def tokenize(source: str) -> list[Token]:
     character that starts no token. A CRLF lexes as the NEWLINE "\\n"."""
     tokens: list[Token] = []
     line, line_start = 1, 0  # line_start: index of the line's first character
-    for m in _TOKEN_RE.finditer(source):
+    for m in re.finditer(_TOKEN_PATTERN, source):
         group = m.lastgroup
         lexeme = m[group]
         column = m.start(group) - line_start + 1
@@ -156,20 +156,19 @@ def tokenize(source: str) -> list[Token]:
 # same program compare equal even when whitespace moved the tokens around.
 
 
-@dataclass(frozen=True)
-class OracleDecl:
+class OracleDecl(NamedTuple):
     name: str
     fn: OracleFn
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    line: int = 0
+    column: int = 0
+    __eq__, __ne__, __hash__ = circuit._compared(-2)
 
 
 Stmt = circuit.Instruction
 AllocStmt, ApplyStmt, OracleApplyStmt, MeasureStmt = Alloc, Apply, ApplyOracle, Measure
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     oracle_decls: tuple[OracleDecl, ...]
     statements: tuple[Stmt, ...]
 
@@ -184,11 +183,9 @@ class _Parser:
     def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind is not TokenKind.EOF:
-            self.pos += 1
-        return tok
+    def advance(self) -> Token:  # never called at EOF: each caller has peeked another kind
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def skip_trivia(self) -> None:
         while self.peek().kind in (TokenKind.NEWLINE, TokenKind.COMMENT):
@@ -203,20 +200,14 @@ class _Parser:
         return self.advance()
 
     def end_of_statement(self) -> None:
-        while self.peek().kind is TokenKind.COMMENT:
-            self.advance()
-        tok = self.peek()
-        if tok.kind is TokenKind.EOF:
-            return
-        if tok.kind is TokenKind.NEWLINE:
-            self.advance()
-            return
-        raise ParseError(
-            f"expected end of line, found {_describe(tok)}",
-            tok.line,
-            tok.column,
-            expected=[TokenKind.NEWLINE, TokenKind.EOF],
-        )
+        tok = self.peek()  # a comment runs to the end of its line; program() skips all three
+        if tok.kind not in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.EOF):
+            raise ParseError(
+                f"expected end of line, found {_describe(tok)}",
+                tok.line,
+                tok.column,
+                expected=[TokenKind.NEWLINE, TokenKind.EOF],
+            )
 
     def known_qubit(self, tok: Token) -> str:
         if tok.lexeme not in self.qubits:
@@ -278,11 +269,10 @@ class _Parser:
 
     def apply(self) -> Stmt:
         gate_tok = self.advance()
-        name = gate_tok.lexeme
-        if name in SINGLE_QUBIT_GATES:
+        if gate_tok.lexeme in SINGLE_QUBIT_GATES:
             target = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
-            return Apply(name, (target,), None, gate_tok.line, gate_tok.column)
-        if name == "R":
+            return Apply(gate_tok.lexeme, (target,), None, gate_tok.line, gate_tok.column)
+        if gate_tok.lexeme == "R":
             self.expect(TokenKind.LPAREN, "'('")
             num = self.expect(TokenKind.NUMBER, "an angle")
             self.expect(TokenKind.RPAREN, "')'")

@@ -1,8 +1,10 @@
 import json
 import math
 import random
+import os
 import re
 import struct
+import subprocess
 import sys
 from collections import Counter
 from unittest import mock
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fqz
 from fqz import circuit, cli, lang
 from fqz.circuit import run_shots
 
@@ -443,3 +446,74 @@ class TestFuzz:
         for path in (str(binary), str(tmp_path), str(tmp_path / "missing.fqz")):
             for command in ("check", "run"):
                 assert self.run_any(capsys, [command, path]) == 2
+
+
+CHECKER_NAMES = ("CheckReport", "CheckResult", "check_gate", "check_observable", "check_program")
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `code` in a new interpreter that imports this fqz, not yet loaded."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fqz.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+class TestColdImport:
+    """The checker, and with it dataclasses, load only when a name of the
+    checker is first used; every command but `check` runs without them."""
+
+    def test_cli_import_and_run_leave_the_checker_unloaded(self, deutsch_file):
+        code = """if True:
+            import sys
+            import fqz.cli
+            unwanted = lambda: sorted({"fqz.checker", "dataclasses"} & set(sys.modules))
+            assert unwanted() == [], unwanted()
+            assert fqz.cli.main(["run", sys.argv[1], "--shots", "3"]) == 0
+            assert fqz.cli.main(["deutsch", "--oracle", "id"]) == 0
+            assert unwanted() == [], unwanted()
+            assert fqz.cli.main(["check", sys.argv[1]]) == 0
+            assert "fqz.checker" in sys.modules
+        """
+        done = fresh_python(code, deutsch_file("id"))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "overall: PASS"
+
+    @pytest.mark.parametrize(
+        "first, binds",
+        [
+            ("import fqz", ()),
+            ("from fqz import *", None),  # None: every name in __all__
+            ("from fqz import checker", ("checker",)),
+            ("from fqz import check_program, CheckReport", ("check_program", "CheckReport")),
+        ],
+    )
+    def test_checker_names_resolve_on_first_use(self, first, binds):
+        code = f"""if True:
+            import sys
+            {first}
+            pkg = sys.modules["fqz"]
+            binds = pkg.__all__ if {binds!r} is None else {binds!r}
+            assert set(binds) <= set(globals()), sorted(set(binds) - set(globals()))
+            import fqz.checker
+            for name in {CHECKER_NAMES!r}:
+                assert name in pkg.__all__
+                assert getattr(pkg, name) is getattr(fqz.checker, name)
+                assert globals().get(name, getattr(pkg, name)) is getattr(fqz.checker, name)
+        """
+        done = fresh_python(code)
+        assert done.returncode == 0, done.stderr
+
+    def test_unknown_names_raise_attribute_error(self):
+        code = """if True:
+            import fqz
+            for name in ("no_such_name", "checker"):
+                try:
+                    getattr(fqz, name)
+                except AttributeError as exc:
+                    assert name in str(exc)
+                else:
+                    raise AssertionError(name)
+            assert not hasattr(fqz, "no_such_name")
+        """
+        done = fresh_python(code)
+        assert done.returncode == 0, done.stderr
