@@ -226,6 +226,28 @@ class TestApplyGateBitIdentity:
                     got = state.apply_gate(psi, g, targets)
                     assert got.tobytes() == tensordot_apply(psi, g, targets).tobytes(), (g.name, targets)
 
+    @pytest.mark.parametrize("n", range(0, state.MAX_QUBITS + 1))
+    def test_arity_zero_phase_on_no_targets(self, n):
+        """A 1x1 gate places on no qubit at all, a 0-qubit register included."""
+        g = gates.Gate("P", 0, np.array([[np.exp(0.7j)]]))
+        rng = np.random.default_rng(n)
+        dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        sparse = -(np.eye(1, 2**n, 2**n - 1)[0] + 1j * np.eye(1, 2**n, 0)[0]) * SQRT_HALF
+        for psi in (dense, sparse):
+            assert state.apply_gate(psi, g, ()).tobytes() == tensordot_apply(psi, g, ()).tobytes()
+
+    @pytest.mark.parametrize("n", range(3, state.MAX_QUBITS + 1))
+    def test_random_three_qubit_unitary_every_target_order(self, n):
+        rng = np.random.default_rng(100 + n)
+        q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+        g = gates.Gate("U3", 3, q)
+        dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        sparse = -(state.basis_state(n, 2**n - 1) + 1j * state.basis_state(n, 0)) * SQRT_HALF
+        for targets in itertools.permutations(range(n), 3):
+            for psi in (dense, sparse):
+                got = state.apply_gate(psi, g, targets)
+                assert got.tobytes() == tensordot_apply(psi, g, targets).tobytes(), targets
+
 
 class TestExpandedUnitaryAgreement:
     """The tensor-contraction route must match the explicit kron route."""
