@@ -6,7 +6,8 @@ for two qubits |xy> sits at index 2x + y. Registers are capped at 12
 qubits (4096 amplitudes); everything is dense.
 
 apply_gate multiplies a gate into the target axes of the state with one
-np.dot; the tests hold it against a brute-force reference that builds the
+np.dot, moving the data as one cached record per (targets, register size)
+says; the tests hold it against a brute-force reference that builds the
 full 2**n x 2**n matrix. measure_qubit reads a qubit's two branches as
 strided views: branch_probability sums one, a splitmix64 draw picks one,
 and only that one is kept; circuit.run_shots reproduces its bytes.
@@ -63,74 +64,62 @@ def basis_state(n_qubits: int, index: int) -> np.ndarray:
 
 @functools.cache
 def _cached_layout(targets: tuple, n: int) -> tuple:
-    """apply_gate's target checks and orders, memoised per (targets, n). A
-    raise is not cached, so bad targets fail the same way on every call.
+    """apply_gate's one record of a gate placement, memoised per (targets,
+    n); a raise is not cached, so bad targets fail the same way every call.
 
-    Returns (order, shape, axes, moved, inverse, 2**arity): order lists
-    the qubits with the targets first. Each run of qubits that stays
-    adjacent and in order under it becomes one axis, so the state
-    reshaped to `shape` and transposed by `axes` is the same tensor,
-    of shape `moved`, as the n-axis one transposed by `order`; `inverse`
-    undoes `axes`."""
+    Returns (shape, axes, moved, inverse, 2**arity, index). `shape` has an
+    axis of 2 per target, each after an axis for the qubits since the
+    previous target, and a last axis for the qubits after the last target
+    (2**gap each, possibly 1). `axes` brings the targets forward in target
+    order, then the other axes in order; `moved` is the transposed shape
+    and `inverse` undoes `axes`. `index`, on at most GATHER_MAX_QUBITS
+    qubits, is the read-only (2**arity, rest) intp array of the state
+    indices that transpose puts at each place; else None."""
     targets = tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubit in {targets}")
     for t in targets:
         if not 0 <= t < n:
             raise ValueError(f"target qubit {t} out of range for a {n}-qubit register")
-    order = targets + tuple(q for q in range(n) if q not in targets)
-    runs = []  # [first qubit, length] of each run, in the order of `order`
-    for q in order:
-        if runs and runs[-1][0] + runs[-1][1] == q:
-            runs[-1][1] += 1
-        else:
-            runs.append([q, 1])
-    starts = sorted(first for first, _ in runs)
-    axes = tuple(starts.index(first) for first, _ in runs)
-    shape = tuple(2**size for _, size in sorted(runs))
-    moved = tuple(2**size for _, size in runs)
+    ranked, shape, previous = sorted(targets), [], -1
+    for t in ranked:
+        shape += [2 ** (t - previous - 1), 2]
+        previous = t
+    shape.append(2 ** (n - 1 - previous))
+    axes = tuple(2 * ranked.index(t) + 1 for t in targets) + tuple(range(0, len(shape), 2))
     inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    return order, shape, axes, moved, inverse, 2 ** len(targets)
-
-
-@functools.cache
-def _gather_index(targets: tuple, n: int) -> np.ndarray:
-    """Read-only (2**arity, rest) intp array: entry [r, c] is the state
-    index that the merged-axis transpose of _cached_layout(targets, n)
-    puts at row r, column c."""
-    _, shape, axes, _, _, rows = _cached_layout(targets, n)
-    index = np.arange(2**n, dtype=np.intp).reshape(shape).transpose(axes).reshape(rows, -1)
-    index.setflags(write=False)
-    return index
+    rows, index = 2 ** len(targets), None
+    if n <= GATHER_MAX_QUBITS:
+        index = np.arange(2**n, dtype=np.intp).reshape(shape).transpose(axes).reshape(rows, -1)
+        index.setflags(write=False)
+    return tuple(shape), axes, tuple(shape[a] for a in axes), inverse, rows, index
 
 
 def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
     """Apply g to the given qubits; the first target is the gate's most
     significant input (for CNOT, the control).
 
-    The state tensor is transposed so the target axes lead and flattened
-    to a (2**arity, rest) matrix, which the gate multiplies in one np.dot.
-    Runs of qubit axes the transpose keeps together move as one axis; the
-    transpose only moves data, so the matrix is the one np.tensordot would
-    hand to the same zgemm over all n axes, and the amplitudes are
-    bit-identical to the contraction route. On registers of at most
-    GATHER_MAX_QUBITS qubits the same matrix is gathered through
-    _gather_index, and the product scattered back through it, which costs
-    less per call. The state is validated on every call; the targets are
-    checked, and the layout built, on the first call for each (targets,
-    register size)."""
+    The state is moved to a (2**arity, rest) matrix, the target qubits
+    first, which the gate multiplies in one np.dot; the product is moved
+    back. _cached_layout's record says how: through its gather index on
+    registers of at most GATHER_MAX_QUBITS qubits, which costs less per
+    call, else by its reshape and transpose of 2*arity + 1 axes.
+    Either way only data moves, so the matrix is the one np.tensordot
+    would hand to the same zgemm over all n axes, and the amplitudes are
+    bit-identical to the contraction route. The state is validated on
+    every call; the targets are checked, and the record built, on the
+    first call for each (targets, register size)."""
     psi = as_state(state)
     n = psi.size.bit_length() - 1
     targets = tuple(targets)
     if len(targets) != g.arity:
         found = tuple(map(int, targets))
         raise ValueError(f"gate {g.name} has arity {g.arity} but got {len(targets)} target(s) {found}")
-    _, shape, axes, moved, inverse, rows = _cached_layout(targets, n)
+    shape, axes, moved, inverse, rows, index = _cached_layout(targets, n)
     matrix = g.matrix
     if type(matrix) is not np.ndarray or matrix.dtype is not COMPLEX128:
         matrix = np.asarray(matrix, dtype=COMPLEX128)
-    if n <= GATHER_MAX_QUBITS:
-        index = _gather_index(targets, n)
+    if index is not None:
         out = np.empty_like(psi)
         out[index] = np.dot(matrix, psi[index])
         return out

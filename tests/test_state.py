@@ -113,7 +113,9 @@ class TestApplyGate:
         assert len(outs) == 1
 
     def test_cached_layouts_hold_no_arrays(self):
-        """The cache keeps only tuples of ints per placement, never index arrays."""
+        """Each placement's record holds tuples of ints and no array but its
+        one read-only intp gather index, present exactly on registers of
+        at most GATHER_MAX_QUBITS qubits."""
 
         def ints_only(value):
             if isinstance(value, tuple):
@@ -124,47 +126,57 @@ class TestApplyGate:
             g = gates.cnot() if n > 1 else gates.hadamard()
             for targets in itertools.permutations(range(n), g.arity):
                 state.apply_gate(state.basis_state(n, 0), g, targets)
-                assert ints_only(state._cached_layout(targets, n))
-                assert ints_only(state._cached_layout(tuple(np.int64(t) for t in targets), n))
+                for key in (targets, tuple(np.int64(t) for t in targets)):
+                    *layout, index = state._cached_layout(key, n)
+                    assert ints_only(tuple(layout))
+                    if n <= state.GATHER_MAX_QUBITS:
+                        assert type(index) is np.ndarray and index.dtype == np.intp and not index.flags.writeable
+                    else:
+                        assert index is None
 
     def test_gathered_placements_are_cached_small_and_read_only(self):
-        """Placing H and CNOT everywhere on 1-12 qubits caches an index
-        array only for registers of at most GATHER_MAX_QUBITS qubits; each
-        is read-only intp, and all of them take at most 256 KB."""
-        state._gather_index.cache_clear()
-        small = []
+        """Placing H and CNOT everywhere on 1-12 qubits caches one record
+        per placement; the records of registers of at most
+        GATHER_MAX_QUBITS qubits hold a read-only intp index that permutes
+        range(2**n), and all those indices take at most 256 KB."""
+        state._cached_layout.cache_clear()
+        placed, small = [], []
         for n in range(1, state.MAX_QUBITS + 1):
             psi = state.basis_state(n, 0)
             for g in (gates.hadamard(), gates.cnot())[: min(n, 2)]:
                 for targets in itertools.permutations(range(n), g.arity):
                     state.apply_gate(psi, g, targets)
+                    placed.append((targets, n))
                     if n <= state.GATHER_MAX_QUBITS:
                         small.append((targets, n))
         assert state.GATHER_MAX_QUBITS == 8
-        assert state._gather_index.cache_info().currsize == len(small)
-        indices = [state._gather_index(targets, n) for targets, n in small]
-        assert state._gather_index.cache_info().currsize == len(small)
+        assert state._cached_layout.cache_info().currsize == len(placed)
+        indices = [state._cached_layout(targets, n)[-1] for targets, n in small]
+        assert state._cached_layout.cache_info().currsize == len(placed)
         for (targets, n), index in zip(small, indices):
             assert index.dtype == np.intp and not index.flags.writeable
             assert sorted(index.ravel()) == list(range(2**n))
         assert sum(index.nbytes for index in indices) <= 256 * 1024
 
-    @pytest.mark.parametrize("arity", [1, 2, 3])
+    @pytest.mark.parametrize("arity", [0, 1, 2, 3])
     def test_merged_layouts_move_the_same_tensor_in_at_most_2k_plus_1_axes(self, arity):
-        """Merging runs of axes changes how many axes the transpose moves,
-        never which amplitude lands where."""
+        """A record's transpose moves exactly 2k+1 axes, and moves the same
+        tensor as the n-axis transpose that puts the targets first, in
+        target order, and the other qubits after them in order."""
         for n in range(arity, state.MAX_QUBITS + 1):
             psi = np.arange(2**n)
             for targets in itertools.permutations(range(n), arity):
-                order, shape, axes, moved, inverse, rows = state._cached_layout(targets, n)
-                assert order[:arity] == targets and sorted(order) == list(range(n))
-                assert len(shape) == len(axes) == len(moved) <= 2 * arity + 1
+                shape, axes, moved, inverse, rows, index = state._cached_layout(targets, n)
+                assert len(shape) == len(axes) == len(moved) == len(inverse) == 2 * arity + 1
                 assert rows == 2**arity
+                order = targets + tuple(q for q in range(n) if q not in targets)
                 want = psi.reshape((2,) * n).transpose(order)
                 got = psi.reshape(shape).transpose(axes)
                 assert got.shape == moved
                 np.testing.assert_array_equal(got.reshape(-1), want.reshape(-1))
                 np.testing.assert_array_equal(got.reshape(moved).transpose(inverse).reshape(-1), psi)
+                if index is not None:
+                    np.testing.assert_array_equal(index.reshape(-1), want.reshape(-1))
 
     @pytest.mark.parametrize("g", ONE_QUBIT_GATES, ids=lambda g: f"{g.name}-{g.parameter}")
     @pytest.mark.parametrize("n", [1, 2, 3])
