@@ -393,6 +393,8 @@ def compile_program(program: Program) -> tuple[Circuit, dict[str, OracleFn]]:
     without a second walk."""
     oracles: dict[str, OracleFn] = {}
     for decl in program.oracle_decls:
+        if not isinstance(decl, OracleDecl) or type(decl.name) is not str:  # built by hand
+            raise CompileError(f"malformed oracle declaration {decl!r}", getattr(decl, "line", 0), getattr(decl, "column", 0))
         # the oracle table is a dict, which cannot hold the duplicate for
         # validate_circuit to see
         if decl.name in oracles:

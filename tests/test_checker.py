@@ -12,6 +12,10 @@ from fqz import checker, gates, lang, state
 from fqz.circuit import Apply, ApplyOracle, OracleFn
 from fqz.lang import AllocStmt, MeasureStmt, OracleDecl, Program
 
+# a numpy RuntimeWarning that a test does not ignore in its body fails it:
+# the checker promises to stay quiet on any input
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def by_rule(report):
     return {c.rule: c for c in report.checks}
@@ -190,19 +194,23 @@ _MAPPINGS = st.sampled_from([None, gates.identity_gate().mapping, gates.hadamard
 
 
 class TestTotality:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # a test's own filterwarnings mark would lose to the module's
+    # pytestmark, so these ignore RuntimeWarning in their bodies
     @settings(deadline=None)
     @given(_MATRICES, _MAPPINGS)
     def test_check_gate_never_raises(self, matrix, mapping):
         arity = 1 if mapping is None else mapping.arity
-        report = checker.check_gate(gates.Gate("G", arity, matrix, mapping))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = checker.check_gate(gates.Gate("G", arity, matrix, mapping))
         assert [c.rule for c in report.checks] == ["GATE-U", "GATE-M", "GATE-INJ"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @settings(deadline=None)
     @given(_MATRICES)
     def test_check_observable_never_raises(self, matrix):
-        report = checker.check_observable(matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            report = checker.check_observable(matrix)
         assert [c.rule for c in report.checks] == ["OBS-1", "OBS-2", "OBS-3"]
 
 
@@ -264,6 +272,18 @@ class TestCheckProgram:
         rules = by_rule(checker.check_program(Program(decls, statements)))
         assert not rules["PROG-SCOPE"].passed
         assert rules["PROG-SCOPE"].detail.startswith(detail)
+        assert rules["PROG-NORM"].detail == "skipped: scoping failed"
+
+    @pytest.mark.parametrize(
+        "decl",
+        [("f", OracleFn.IDENTITY), OracleDecl(["f"], OracleFn.IDENTITY), OracleDecl(None, OracleFn.IDENTITY, 3, 1), "f"],
+        ids=["plain-tuple", "list-name", "none-name", "str"],
+    )
+    def test_malformed_oracle_declaration_fails_scope(self, decl):
+        p = Program((decl,), (AllocStmt("x", "|0>"),))
+        rules = by_rule(checker.check_program(p))
+        assert not rules["PROG-SCOPE"].passed
+        assert rules["PROG-SCOPE"].detail == f"malformed oracle declaration {decl!r}"
         assert rules["PROG-NORM"].detail == "skipped: scoping failed"
 
     @pytest.mark.parametrize("tol", [2.0, 0.0, -1.0, math.nan])

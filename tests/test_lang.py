@@ -290,6 +290,15 @@ class TestCompile:
             lang.compile_program(Program((), ("junk",)))
         assert (err.value.line, err.value.column) == (0, 0)
 
+    @pytest.mark.parametrize(
+        "decl, position",
+        [(("f", fc.OracleFn.IDENTITY), (0, 0)), (OracleDecl(["f"], fc.OracleFn.IDENTITY, 2, 5), (2, 5))],
+    )
+    def test_malformed_oracle_declaration_is_a_compile_error_at_its_position(self, decl, position):
+        with pytest.raises(CompileError, match="malformed oracle declaration") as err:
+            lang.compile_program(Program((decl,), ()))
+        assert (err.value.line, err.value.column) == position
+
     def test_compiled_deutsch_runs_like_the_builtin(self):
         for keyword, fn in fc.ORACLE_KEYWORDS.items():
             p = lang.parse_source(deutsch_source(keyword))
