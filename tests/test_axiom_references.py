@@ -23,6 +23,10 @@ from hypothesis import strategies as st
 from fqz import checker, gates, lang
 from fqz.circuit import iter_steps
 
+# a numpy RuntimeWarning that a test does not ignore in its body fails it:
+# the checker promises to stay quiet on any input
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 BASIS = {1: ("0", "1"), 2: ("00", "01", "10", "11")}
 INPUTS = {1: ("0", "1", "+", "-"), 2: BASIS[2]}
 TOLERANCES = st.sampled_from([1e-300, 1e-9, 0.5, 0.999])

@@ -16,6 +16,10 @@ from fqz import gates
 from fqz.circuit import OracleFn, oracle_gate
 from fqz.linalg import is_unitary
 
+# a numpy RuntimeWarning that a test does not ignore in its body fails it:
+# the checker promises to stay quiet on any input
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 ATOL = 1e-9
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,10 @@ from hypothesis import strategies as st
 
 from brute_force import approx_equal, conjugate_transpose, is_hermitian
 from fqz import linalg
+
+# a numpy RuntimeWarning that a test does not ignore in its body fails it:
+# the checker promises to stay quiet on any input
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 ATOL = 1e-9
 
@@ -100,11 +106,14 @@ class TestPredicates:
     def test_non_square_is_not_unitary(self):
         assert not linalg.is_unitary(np.ones((2, 3)))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_product_is_not_unitary(self):
-        # finite entries, but 1e200 squared is inf: not unitary, no exception
-        assert not linalg.is_unitary([[1e200, 0], [0, 1]])
-        assert not linalg.is_unitary([[1e200, 1e200j], [1e200, 1]])
+        # finite entries, but 1e200 squared is inf: not unitary, no exception.
+        # numpy warns of the overflow, which the module's pytestmark would
+        # turn into an error, and a test's own mark would lose to it
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert not linalg.is_unitary([[1e200, 0], [0, 1]])
+            assert not linalg.is_unitary([[1e200, 1e200j], [1e200, 1]])
 
 
 class TestEigenvalues2x2:
