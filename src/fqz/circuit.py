@@ -131,7 +131,10 @@ class CircuitError(ValueError):
 class Circuit(NamedTuple("Circuit", [("instructions", tuple), ("ops", tuple), ("oracles", Mapping)])):
     """validate_circuit's result also carries its ops, one per instruction,
     and a read-only copy of the oracle table they were resolved under;
-    neither takes part in equality, hashing, repr or len."""
+    neither takes part in equality, hashing, repr or len. Iterating,
+    unpacking or calling tuple() on a Circuit yields its three fields
+    (instructions, ops, oracles); use circuit.instructions for the
+    instructions."""
 
     __slots__ = ()
     __eq__, __ne__, __hash__ = _compared(1)
