@@ -18,6 +18,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import lang
 from .circuit import ORACLE_KEYWORDS, Apply, deutsch, oracle_gate, run_shots
 from .gates import gate as gate_by_name, gate_key
@@ -67,13 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _amplitudes_json(state) -> str:
     """JSON text of [[re, im], ...]: each part rounded to 12 significant
     digits and spelled as json.dumps spells the rounded double (its repr).
-    One str.format writes every part. For zero and normal doubles far below
-    1e11 the ".12" spec already writes repr's digits and notation, "1.0" and
-    "-0.0" included, so the text stands when every part is zero or normal
-    with |x| <= 1.5 (a unit state's are); else json.dumps re-spells it."""
-    parts = state.view(float)
-    text = ("[" + ", ".join(["[{:.12}, {:.12}]"] * state.size) + "]").format(*parts.tolist())
-    mags = abs(parts)
+    "{:.12}" spells each distinct part once (by bits: 0.0 and -0.0 differ)
+    and the rows index into those words. For zero and normal doubles far
+    below 1e11 it writes repr's digits and notation, "-0.0" included, so the
+    text stands when every part is zero or normal with |x| <= 1.5 (a unit
+    state's are); else json.dumps re-spells it."""
+    bits, inverse = np.unique(state.view(np.uint64), return_inverse=True)
+    distinct = bits.view(float)
+    words = np.empty(4 * state.size, dtype=object)  # re, ", ", im, "], [" per amplitude
+    words[0::2] = np.array(list(map("{:.12}".format, distinct.tolist())), dtype=object)[inverse]
+    words[1::4], words[3::4] = ", ", "], ["
+    text = "[[" + "".join(words[:-1].tolist()) + "]]"
+    mags = abs(distinct)
     if mags.max() <= 1.5 and not ((mags > 0) & (mags < sys.float_info.min)).any():
         return text
     return json.dumps([[float(real), float(imag)] for real, imag in re.findall(r"\[([^,\[]+), ([^\]]+)\]", text)])
@@ -81,13 +88,10 @@ def _amplitudes_json(state) -> str:
 
 def _gates_used(program: lang.Program):
     """Each distinct built-in gate (by gate_key), in first use order, then the oracles."""
-    used = {}
-    for stmt in program.statements:
-        if isinstance(stmt, Apply):
-            key = gate_key(stmt.gate, stmt.parameter)
-            if key not in used:
-                used[key] = gate_by_name(stmt.gate, stmt.parameter)
-    return [*used.values(), *(oracle_gate(decl.name, decl.fn) for decl in program.oracle_decls)]
+    # a key keeps its first position; any statement under it names the same shared Gate
+    used = {gate_key(stmt.gate, stmt.parameter): stmt for stmt in program.statements if isinstance(stmt, Apply)}
+    builtins = [gate_by_name(stmt.gate, stmt.parameter) for stmt in used.values()]
+    return [*builtins, *(oracle_gate(decl.name, decl.fn) for decl in program.oracle_decls)]
 
 
 def cmd_check(path: str, fmt: str) -> int:
@@ -120,12 +124,11 @@ def cmd_run(path: str, shots: int, seed: int, fmt: str) -> int:
     program = lang.parse_source(Path(path).read_text(encoding="utf-8"))
     circuit, oracles = lang.compile_program(program)
     report = run_shots(circuit, oracles, seed, shots)
-    counts = {k: report.shots[k] for k in sorted(report.shots)}
     if fmt == "json":
-        amplitudes = _amplitudes_json(report.amplitudes)
-        print('{"outcomes": %s, "amplitudes": %s, "seed": %d, "shots": %d}' % (json.dumps(counts), amplitudes, seed, shots))
+        outcomes, amplitudes = json.dumps(report.shots, sort_keys=True), _amplitudes_json(report.amplitudes)
+        print('{"outcomes": %s, "amplitudes": %s, "seed": %d, "shots": %d}' % (outcomes, amplitudes, seed, shots))
     else:
-        for outcome, count in counts.items():
+        for outcome, count in sorted(report.shots.items()):
             print(f"{outcome}: {count}")
     return 0
 

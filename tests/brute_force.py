@@ -25,6 +25,11 @@ tested the empty branch with np.count_nonzero: np.zeros_like, np.sqrt,
 .any() and a branch view built per use. The library must agree with it
 on the bit, the bits of the probability and the bytes of the post-state.
 
+reference_amplitudes_json is cli._amplitudes_json as it was before it
+spelled each distinct part once: one str.format call writes all 2 * 2**n
+parts, and the common-path test reads every part. The library must agree
+with it byte for byte on every state.
+
 conjugate_transpose and is_hermitian are the adjoint and the Hermitian
 test the checker's OBS-2 rule computes inline; approx_equal is the
 entrywise comparison GATE-M computes inline; builtin_gates is one shared
@@ -33,6 +38,9 @@ instance of every fixed built-in gate (R excluded: it needs an angle).
 from __future__ import annotations
 
 import itertools
+import json
+import re
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -108,6 +116,16 @@ def reference_measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     post = np.zeros_like(psi)  # only branch `bit` is written, divided by sqrt(prob)
     np.divide(psi.reshape(2**target, 2, -1)[:, bit, :], np.sqrt(prob), out=post.reshape(2**target, 2, -1)[:, bit, :])
     return MeasurementResult(bit, post, prob)
+
+
+def reference_amplitudes_json(state) -> str:
+    """run --format json's amplitude rows (see the module docstring)."""
+    parts = state.view(float)
+    text = ("[" + ", ".join(["[{:.12}, {:.12}]"] * state.size) + "]").format(*parts.tolist())
+    mags = abs(parts)
+    if mags.max() <= 1.5 and not ((mags > 0) & (mags < sys.float_info.min)).any():
+        return text
+    return json.dumps([[float(real), float(imag)] for real, imag in re.findall(r"\[([^,\[]+), ([^\]]+)\]", text)])
 
 
 def rank_search_mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,11 @@ from fqz import circuit, cli, lang
 from fqz.circuit import run_shots
 
 import golden_corpus
+from brute_force import reference_amplitudes_json
 from fuzz_programs import deutsch_source, mutate, random_program
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 
 @pytest.fixture
@@ -184,10 +189,12 @@ def common(x: float) -> bool:
 
 class TestAmplitudeRows:
     """The rows run --format json prints: [re, im] per amplitude, each part
-    rounded to 12 significant digits. cli._amplitudes_json writes them in
-    one formatting pass; its text must be json.dumps of the rows, byte for
-    byte, on its common path (every part zero or normal, |x| <= 1.5) and on
-    the rare path, where json.dumps re-spells the doubles read back from it."""
+    rounded to 12 significant digits. cli._amplitudes_json spells each
+    distinct part once; its text must be json.dumps of the rows, and the
+    one-pass emitter's text (brute_force.reference_amplitudes_json), byte
+    for byte, on its common path (every part zero or normal, |x| <= 1.5)
+    and on the rare path, where json.dumps re-spells the doubles read back
+    from it."""
 
     @staticmethod
     def per_element(state):
@@ -198,7 +205,7 @@ class TestAmplitudeRows:
         psi = np.asarray(psi, dtype=np.complex128)
         with mock.patch.object(cli, "re", wraps=re) as spy:
             text = cli._amplitudes_json(psi)
-        assert text == json.dumps(self.per_element(psi)) == json.dumps(amplitude_rows(psi))
+        assert text == json.dumps(self.per_element(psi)) == json.dumps(amplitude_rows(psi)) == reference_amplitudes_json(psi)
         assert spy.findall.called == (not all(map(common, psi.view(float).tolist())))
         return spy.findall.called
 
@@ -225,6 +232,30 @@ class TestAmplitudeRows:
         psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         assert not self.assert_same_json(psi / np.linalg.norm(psi))
         self.assert_same_json(psi * 10.0 ** rng.integers(-320, 300, size=2**n))
+
+    def test_all_distinct_twelve_qubit_state(self):
+        rng = np.random.default_rng(4096)
+        psi = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        psi /= np.linalg.norm(psi)
+        assert np.unique(psi.view(np.uint64)).size == 8192
+        assert not self.assert_same_json(psi)
+
+    def test_one_magnitude_with_random_signs_and_signed_zeros(self):
+        # 2,048 amplitudes whose 4,096 parts take four bit patterns:
+        # +-2**-5.5 and +-0.0, which only a key by bits keeps apart
+        rng = np.random.default_rng(2048)
+        parts = rng.choice([2**-5.5, -(2**-5.5), 0.0, -0.0], size=4096)
+        psi = parts.view(np.complex128)
+        assert np.unique(psi.view(np.uint64)).size == 4
+        assert not self.assert_same_json(psi)
+        psi.view(float)[7] = 2.0  # one outlier sends the same words down the rare path
+        assert self.assert_same_json(psi)
+
+    def test_pre_measure_states_of_wide_final_pool_programs(self):
+        for job in workloads.pool("wide-final")[:20]:
+            psi = circuit.pre_measurement_state(*lang.compile_program(lang.parse_source(job.source)))
+            assert psi.size == 4096
+            assert not self.assert_same_json(psi)
 
     RAW = st.integers(0, 2**64 - 1).map(double).filter(math.isfinite)
     PARTS = st.one_of(RAW, st.sampled_from(EDGES))
