@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import circuit
 from .circuit import ORACLE_KEYWORDS, Alloc, Apply, ApplyOracle, Circuit, Measure, OracleFn
@@ -392,6 +392,8 @@ def compile_program(program: Program) -> tuple[Circuit, dict[str, OracleFn]]:
     valid. The circuit comes back resolved, so it runs under that table
     without a second walk."""
     oracles: dict[str, OracleFn] = {}
+    if not all(isinstance(field, Sequence) for field in program):  # built by hand
+        raise CompileError(f"malformed program {program!r}: its fields must be sequences")
     for decl in program.oracle_decls:
         if not isinstance(decl, OracleDecl) or type(decl.name) is not str:  # built by hand
             raise CompileError(f"malformed oracle declaration {decl!r}", getattr(decl, "line", 0), getattr(decl, "column", 0))

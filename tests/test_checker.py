@@ -286,6 +286,14 @@ class TestCheckProgram:
         assert rules["PROG-SCOPE"].detail == f"malformed oracle declaration {decl!r}"
         assert rules["PROG-NORM"].detail == "skipped: scoping failed"
 
+    @pytest.mark.parametrize("decls, statements", [(None, ()), ((), None), ((), 5)], ids=["none-decls", "none-statements", "int-statements"])
+    def test_a_field_that_is_not_a_sequence_fails_scope(self, decls, statements):
+        p = Program(decls, statements)
+        rules = by_rule(checker.check_program(p))
+        assert not rules["PROG-SCOPE"].passed
+        assert rules["PROG-SCOPE"].detail == f"malformed program {p!r}: its fields must be sequences"
+        assert rules["PROG-NORM"].detail == "skipped: scoping failed"
+
     @pytest.mark.parametrize("tol", [2.0, 0.0, -1.0, math.nan])
     def test_a_tolerance_outside_the_unit_interval_raises(self, tol):
         # as check_gate and check_observable do, rather than pass or fail PROG-NORM by it

@@ -299,6 +299,21 @@ class TestCompile:
             lang.compile_program(Program((decl,), ()))
         assert (err.value.line, err.value.column) == position
 
+    @pytest.mark.parametrize(
+        "program",
+        [Program(None, ()), Program((), None), Program((), 5), Program((), iter([fc.Alloc("q", "|0>")]))],
+        ids=["none-decls", "none-statements", "int-statements", "iterator-statements"],
+    )
+    def test_a_field_that_is_not_a_sequence_is_a_compile_error_at_the_origin(self, program):
+        with pytest.raises(CompileError, match="fields must be sequences") as err:
+            lang.compile_program(program)
+        assert (err.value.line, err.value.column) == (0, 0)
+
+    def test_list_fields_compile_like_tuples(self):
+        p = lang.parse_source(deutsch_source("id"))
+        listed = lang.compile_program(Program(list(p.oracle_decls), list(p.statements)))
+        assert listed == lang.compile_program(p)
+
     def test_compiled_deutsch_runs_like_the_builtin(self):
         for keyword, fn in fc.ORACLE_KEYWORDS.items():
             p = lang.parse_source(deutsch_source(keyword))
