@@ -76,10 +76,10 @@ def _amplitudes_json(state) -> str:
     state's are); else json.dumps re-spells it."""
     bits, inverse = np.unique(state.view(np.uint64), return_inverse=True)
     distinct = bits.view(float)
-    words = np.empty(4 * state.size, dtype=object)  # re, ", ", im, "], [" per amplitude
-    words[0::2] = np.array(list(map("{:.12}".format, distinct.tolist())), dtype=object)[inverse]
-    words[1::4], words[3::4] = ", ", "], ["
-    text = "[[" + "".join(words[:-1].tolist()) + "]]"
+    words = [None, ", ", None, "], ["] * state.size  # re, ", ", im, "], [" per amplitude
+    words[0::2] = np.array(list(map("{:.12}".format, distinct.tolist())), dtype=object)[inverse].tolist()
+    words[0], words[-1] = "[[" + words[0], "]]"
+    text = "".join(words)
     mags = abs(distinct)
     if mags.max() <= 1.5 and not ((mags > 0) & (mags < sys.float_info.min)).any():
         return text

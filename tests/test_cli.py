@@ -233,6 +233,11 @@ class TestAmplitudeRows:
         assert not self.assert_same_json(psi / np.linalg.norm(psi))
         self.assert_same_json(psi * 10.0 ** rng.integers(-320, 300, size=2**n))
 
+    @pytest.mark.parametrize("amplitude", [1, -1j, complex(-0.0, 0.0), 2.5, 5e-324j])
+    def test_one_amplitude_state(self, amplitude):
+        # a register of no qubits: the first word opens the rows and the last separator closes them
+        self.assert_same_json([amplitude])
+
     def test_all_distinct_twelve_qubit_state(self):
         rng = np.random.default_rng(4096)
         psi = rng.normal(size=4096) + 1j * rng.normal(size=4096)
