@@ -391,9 +391,9 @@ def compile_program(program: Program) -> tuple[Circuit, dict[str, OracleFn]]:
     instructions, and circuit.validate_circuit decides whether they are
     valid. The circuit comes back resolved, so it runs under that table
     without a second walk."""
-    oracles: dict[str, OracleFn] = {}
     if not all(isinstance(field, Sequence) for field in program):  # built by hand
         raise CompileError(f"malformed program {program!r}: its fields must be sequences")
+    oracles: dict[str, OracleFn] = {}
     for decl in program.oracle_decls:
         if not isinstance(decl, OracleDecl) or type(decl.name) is not str:  # built by hand
             raise CompileError(f"malformed oracle declaration {decl!r}", getattr(decl, "line", 0), getattr(decl, "column", 0))
