@@ -173,128 +173,25 @@ class Program(NamedTuple):
     statements: tuple[Stmt, ...]
 
 
-class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.qubits: set[str] = set()
-        self.oracles: set[str] = set()
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:  # never called at EOF: each caller has peeked another kind
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def skip_trivia(self) -> None:
-        while self.peek().kind in (TokenKind.NEWLINE, TokenKind.COMMENT):
-            self.advance()
-
-    def expect(self, kind: TokenKind, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind is not kind:
-            raise ParseError(
-                f"expected {what}, found {_describe(tok)}", tok.line, tok.column, expected=[kind]
-            )
-        return self.advance()
-
-    def end_of_statement(self) -> None:
-        tok = self.peek()  # a comment runs to the end of its line; program() skips all three
-        if tok.kind not in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.EOF):
-            raise ParseError(
-                f"expected end of line, found {_describe(tok)}",
-                tok.line,
-                tok.column,
-                expected=[TokenKind.NEWLINE, TokenKind.EOF],
-            )
-
-    def known_qubit(self, tok: Token) -> str:
-        if tok.lexeme not in self.qubits:
-            raise ParseError(f"undeclared qubit {tok.lexeme!r}", tok.line, tok.column)
-        return tok.lexeme
-
-    def program(self) -> Program:
-        decls: list[OracleDecl] = []
-        stmts: list[Stmt] = []
-        self.skip_trivia()
-        while self.peek().kind is not TokenKind.EOF:
-            tok = self.peek()
-            if tok.kind is TokenKind.KEYWORD and tok.lexeme == "oracle":
-                decls.append(self.oracle_decl())
-            elif tok.kind is TokenKind.KEYWORD and tok.lexeme == "qubit":
-                stmts.append(self.alloc())
-            elif tok.kind is TokenKind.KEYWORD and tok.lexeme == "measure":
-                stmts.append(self.measure())
-            elif tok.kind is TokenKind.GATE:
-                stmts.append(self.apply())
-            else:
-                raise ParseError(
-                    f"expected a statement, found {_describe(tok)}",
-                    tok.line,
-                    tok.column,
-                    expected=[TokenKind.KEYWORD, TokenKind.GATE],
-                )
-            self.end_of_statement()
-            self.skip_trivia()
-        return Program(tuple(decls), tuple(stmts))
-
-    def oracle_decl(self) -> OracleDecl:
-        start = self.advance()  # "oracle"
-        name = self.expect(TokenKind.IDENT, "an oracle name")
-        if name.lexeme in self.oracles:
-            raise ParseError(f"duplicate oracle declaration {name.lexeme!r}", name.line, name.column)
-        self.expect(TokenKind.EQUALS, "'='")
-        kind = self.peek()
-        if kind.kind is not TokenKind.KEYWORD or kind.lexeme not in ORACLE_KEYWORDS:
-            raise ParseError(
-                "expected an oracle kind: const0, const1, id, or not",
-                kind.line,
-                kind.column,
-                expected=[TokenKind.KEYWORD],
-            )
-        self.advance()
-        self.oracles.add(name.lexeme)
-        return OracleDecl(name.lexeme, ORACLE_KEYWORDS[kind.lexeme], start.line, start.column)
-
-    def alloc(self) -> Alloc:
-        start = self.advance()  # "qubit"
-        name = self.expect(TokenKind.IDENT, "a qubit name")
-        if name.lexeme in self.qubits:
-            raise ParseError(f"qubit {name.lexeme!r} already declared", name.line, name.column)
-        self.expect(TokenKind.EQUALS, "'='")
-        ket = self.expect(TokenKind.KET, "a ket literal")
-        self.qubits.add(name.lexeme)
-        return Alloc(name.lexeme, ket.lexeme, start.line, start.column)
-
-    def apply(self) -> Stmt:
-        gate_tok = self.advance()
-        if gate_tok.lexeme in SINGLE_QUBIT_GATES:
-            target = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
-            return Apply(gate_tok.lexeme, (target,), None, gate_tok.line, gate_tok.column)
-        if gate_tok.lexeme == "R":
-            self.expect(TokenKind.LPAREN, "'('")
-            num = self.expect(TokenKind.NUMBER, "an angle")
-            self.expect(TokenKind.RPAREN, "')'")
-            target = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
-            value = float(_PI_FRACTIONS.get(num.lexeme, num.lexeme))
-            if not math.isfinite(value):
-                raise ParseError(f"number literal {num.lexeme!r} overflows", num.line, num.column)
-            return Apply("R", (target,), value, gate_tok.line, gate_tok.column)
-        # N[f] control register
-        self.expect(TokenKind.LBRACKET, "'['")
-        oracle = self.expect(TokenKind.IDENT, "an oracle name")
-        if oracle.lexeme not in self.oracles:
-            raise ParseError(f"undeclared oracle {oracle.lexeme!r}", oracle.line, oracle.column)
-        self.expect(TokenKind.RBRACKET, "']'")
-        control = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
-        register = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
-        return ApplyOracle(oracle.lexeme, control, register, gate_tok.line, gate_tok.column)
-
-    def measure(self) -> Measure:
-        start = self.advance()  # "measure"
-        name = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
-        return Measure(name, start.line, start.column)
+# The statement forms: after each head, its tokens in order as (kind, what
+# is expected, role). A role (names, declared, message) holds the token's
+# name to the oracles or qubits declared before it; _KIND asks for an
+# oracle kind keyword.
+_KIND = object()
+_ORACLE_NAME, _QUBIT_NAME = (TokenKind.IDENT, "an oracle name"), (TokenKind.IDENT, "a qubit name")
+_QUBIT = (*_QUBIT_NAME, ("qubit", True, "undeclared qubit {!r}"))
+_EQUALS = (TokenKind.EQUALS, "'='", None)
+_FORMS = {
+    "oracle": ((*_ORACLE_NAME, ("oracle", False, "duplicate oracle declaration {!r}")), _EQUALS,
+               (TokenKind.KEYWORD, "an oracle kind: const0, const1, id, or not", _KIND)),
+    "qubit": ((*_QUBIT_NAME, ("qubit", False, "qubit {!r} already declared")), _EQUALS, (TokenKind.KET, "a ket literal", None)),
+    "measure": (_QUBIT,),
+    **dict.fromkeys(SINGLE_QUBIT_GATES, (_QUBIT,)),
+    "R": ((TokenKind.LPAREN, "'('", None), (TokenKind.NUMBER, "an angle", None), (TokenKind.RPAREN, "')'", None), _QUBIT),
+    "N": ((TokenKind.LBRACKET, "'['", None), (*_ORACLE_NAME, ("oracle", True, "undeclared oracle {!r}")),
+          (TokenKind.RBRACKET, "']'", None), _QUBIT, _QUBIT),
+}
+_TRIVIA = (TokenKind.NEWLINE, TokenKind.COMMENT)
 
 
 def _describe(tok: Token) -> str:
@@ -310,7 +207,47 @@ _PI_FRACTIONS = {"pi": math.pi, "pi/2": math.pi / 2.0, "pi/4": math.pi / 4.0}
 
 
 def parse(tokens: list[Token]) -> Program:
-    return _Parser(tokens).program()
+    """The program `tokens` spell, or a ParseError at the first token that
+    breaks a statement form, a scoping rule or the end of its line."""
+    decls, stmts, names, pos = [], [], {"oracle": set(), "qubit": set()}, 0
+    while True:
+        while tokens[pos].kind in _TRIVIA:
+            pos += 1
+        head = tokens[pos]
+        if head.kind is TokenKind.EOF:
+            return Program(tuple(decls), tuple(stmts))
+        form = _FORMS.get(head.lexeme) if head.kind in (TokenKind.KEYWORD, TokenKind.GATE) else None
+        if form is None:
+            expected = [TokenKind.KEYWORD, TokenKind.GATE]
+            raise ParseError(f"expected a statement, found {_describe(head)}", head.line, head.column, expected)
+        words = tokens[pos + 1 : pos + 1 + len(form)]
+        for tok, (kind, what, role) in zip(words, form):  # a mismatch raises before the slice can run out
+            if tok.kind is not kind or role is _KIND and tok.lexeme not in ORACLE_KEYWORDS:
+                found = "" if role is _KIND else f", found {_describe(tok)}"
+                raise ParseError(f"expected {what}{found}", tok.line, tok.column, expected=[kind])
+            if type(role) is tuple:
+                if (tok.lexeme in names[role[0]]) is not role[1]:
+                    raise ParseError(role[2].format(tok.lexeme), tok.line, tok.column)
+                names[role[0]].add(tok.lexeme)
+        at, lexemes = (head.line, head.column), [tok.lexeme for tok in words]
+        if head.lexeme == "oracle":
+            decls.append(OracleDecl(lexemes[0], ORACLE_KEYWORDS[lexemes[2]], *at))
+        elif head.lexeme == "qubit":
+            stmts.append(Alloc(lexemes[0], lexemes[2], *at))
+        elif head.lexeme == "measure":
+            stmts.append(Measure(lexemes[0], *at))
+        elif head.lexeme == "N":
+            stmts.append(ApplyOracle(lexemes[1], lexemes[3], lexemes[4], *at))
+        elif head.lexeme == "R":
+            if not math.isfinite(value := float(_PI_FRACTIONS.get(lexemes[1], lexemes[1]))):
+                raise ParseError(f"number literal {lexemes[1]!r} overflows", words[1].line, words[1].column)
+            stmts.append(Apply("R", (lexemes[3],), value, *at))
+        else:
+            stmts.append(Apply(head.lexeme, (lexemes[0],), None, *at))
+        pos += 1 + len(form)
+        if tokens[pos].kind not in (*_TRIVIA, TokenKind.EOF):
+            tok, expected = tokens[pos], [TokenKind.NEWLINE, TokenKind.EOF]
+            raise ParseError(f"expected end of line, found {_describe(tok)}", tok.line, tok.column, expected)
 
 
 def _parse_lines(source: str) -> Program | None:

@@ -34,11 +34,18 @@ conjugate_transpose and is_hermitian are the adjoint and the Hermitian
 test the checker's OBS-2 rule computes inline; approx_equal is the
 entrywise comparison GATE-M computes inline; builtin_gates is one shared
 instance of every fixed built-in gate (R excluded: it needs an angle).
+
+RecursiveDescentParser is lang.parse as it was before it read each
+statement off a table of forms: one method per statement kind, each
+expecting its tokens in turn. lang.parse must agree with it on every
+field of every declaration and statement, positions included, and on
+each ParseError's message, line, column and expected kinds.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 import sys
 from typing import Sequence
@@ -46,7 +53,9 @@ from typing import Sequence
 import numpy as np
 
 from fqz.checker import CheckReport, CheckResult
+from fqz.circuit import ORACLE_KEYWORDS, Alloc, Apply, ApplyOracle, Instruction, Measure
 from fqz.gates import BasisMapping, Gate, KetExpr, MappingError, colliding_inputs, gate, ket_vector
+from fqz.lang import _PI_FRACTIONS, SINGLE_QUBIT_GATES, OracleDecl, ParseError, Program, Token, TokenKind, _describe
 from fqz.linalg import DEFAULT_TOL, as_matrix, check_tol, is_unitary
 from fqz.rng import SplitMix64
 from fqz.state import MeasurementResult, branch_probability
@@ -232,3 +241,129 @@ def rank_search_colliding_inputs(mapping: BasisMapping, tol: float = DEFAULT_TOL
 
 def _expr_text(expr: KetExpr) -> str:
     return " + ".join(f"({amp:g})|{label}>" for amp, label in expr.terms)
+
+
+class RecursiveDescentParser:
+    """lang.parse as a recursive-descent parser (see the module docstring)."""
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+        self.qubits: set[str] = set()
+        self.oracles: set[str] = set()
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:  # never called at EOF: each caller has peeked another kind
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def skip_trivia(self) -> None:
+        while self.peek().kind in (TokenKind.NEWLINE, TokenKind.COMMENT):
+            self.advance()
+
+    def expect(self, kind: TokenKind, what: str) -> Token:
+        tok = self.peek()
+        if tok.kind is not kind:
+            raise ParseError(
+                f"expected {what}, found {_describe(tok)}", tok.line, tok.column, expected=[kind]
+            )
+        return self.advance()
+
+    def end_of_statement(self) -> None:
+        tok = self.peek()  # a comment runs to the end of its line; program() skips all three
+        if tok.kind not in (TokenKind.COMMENT, TokenKind.NEWLINE, TokenKind.EOF):
+            raise ParseError(
+                f"expected end of line, found {_describe(tok)}",
+                tok.line,
+                tok.column,
+                expected=[TokenKind.NEWLINE, TokenKind.EOF],
+            )
+
+    def known_qubit(self, tok: Token) -> str:
+        if tok.lexeme not in self.qubits:
+            raise ParseError(f"undeclared qubit {tok.lexeme!r}", tok.line, tok.column)
+        return tok.lexeme
+
+    def program(self) -> Program:
+        decls: list[OracleDecl] = []
+        stmts: list[Instruction] = []
+        self.skip_trivia()
+        while self.peek().kind is not TokenKind.EOF:
+            tok = self.peek()
+            if tok.kind is TokenKind.KEYWORD and tok.lexeme == "oracle":
+                decls.append(self.oracle_decl())
+            elif tok.kind is TokenKind.KEYWORD and tok.lexeme == "qubit":
+                stmts.append(self.alloc())
+            elif tok.kind is TokenKind.KEYWORD and tok.lexeme == "measure":
+                stmts.append(self.measure())
+            elif tok.kind is TokenKind.GATE:
+                stmts.append(self.apply())
+            else:
+                raise ParseError(
+                    f"expected a statement, found {_describe(tok)}",
+                    tok.line,
+                    tok.column,
+                    expected=[TokenKind.KEYWORD, TokenKind.GATE],
+                )
+            self.end_of_statement()
+            self.skip_trivia()
+        return Program(tuple(decls), tuple(stmts))
+
+    def oracle_decl(self) -> OracleDecl:
+        start = self.advance()  # "oracle"
+        name = self.expect(TokenKind.IDENT, "an oracle name")
+        if name.lexeme in self.oracles:
+            raise ParseError(f"duplicate oracle declaration {name.lexeme!r}", name.line, name.column)
+        self.expect(TokenKind.EQUALS, "'='")
+        kind = self.peek()
+        if kind.kind is not TokenKind.KEYWORD or kind.lexeme not in ORACLE_KEYWORDS:
+            raise ParseError(
+                "expected an oracle kind: const0, const1, id, or not",
+                kind.line,
+                kind.column,
+                expected=[TokenKind.KEYWORD],
+            )
+        self.advance()
+        self.oracles.add(name.lexeme)
+        return OracleDecl(name.lexeme, ORACLE_KEYWORDS[kind.lexeme], start.line, start.column)
+
+    def alloc(self) -> Alloc:
+        start = self.advance()  # "qubit"
+        name = self.expect(TokenKind.IDENT, "a qubit name")
+        if name.lexeme in self.qubits:
+            raise ParseError(f"qubit {name.lexeme!r} already declared", name.line, name.column)
+        self.expect(TokenKind.EQUALS, "'='")
+        ket = self.expect(TokenKind.KET, "a ket literal")
+        self.qubits.add(name.lexeme)
+        return Alloc(name.lexeme, ket.lexeme, start.line, start.column)
+
+    def apply(self) -> Instruction:
+        gate_tok = self.advance()
+        if gate_tok.lexeme in SINGLE_QUBIT_GATES:
+            target = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
+            return Apply(gate_tok.lexeme, (target,), None, gate_tok.line, gate_tok.column)
+        if gate_tok.lexeme == "R":
+            self.expect(TokenKind.LPAREN, "'('")
+            num = self.expect(TokenKind.NUMBER, "an angle")
+            self.expect(TokenKind.RPAREN, "')'")
+            target = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
+            value = float(_PI_FRACTIONS.get(num.lexeme, num.lexeme))
+            if not math.isfinite(value):
+                raise ParseError(f"number literal {num.lexeme!r} overflows", num.line, num.column)
+            return Apply("R", (target,), value, gate_tok.line, gate_tok.column)
+        # N[f] control register
+        self.expect(TokenKind.LBRACKET, "'['")
+        oracle = self.expect(TokenKind.IDENT, "an oracle name")
+        if oracle.lexeme not in self.oracles:
+            raise ParseError(f"undeclared oracle {oracle.lexeme!r}", oracle.line, oracle.column)
+        self.expect(TokenKind.RBRACKET, "']'")
+        control = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
+        register = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
+        return ApplyOracle(oracle.lexeme, control, register, gate_tok.line, gate_tok.column)
+
+    def measure(self) -> Measure:
+        start = self.advance()  # "measure"
+        name = self.known_qubit(self.expect(TokenKind.IDENT, "a qubit name"))
+        return Measure(name, start.line, start.column)

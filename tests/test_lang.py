@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import RecursiveDescentParser
 from fuzz_programs import deutsch_source, mutate, random_program
 from fqz import circuit as fc
 from fqz import lang
@@ -543,7 +544,8 @@ class TestLexerAgainstReference:
 # parse_source reads a valid program one _LINE_RE match per line and hands
 # any other source to parse(tokenize(source)). The line parser must accept
 # exactly the sources the token parser accepts, with the same statements at
-# the same positions.
+# the same positions; the token parser must agree with the recursive-descent
+# reference on every program and every ParseError.
 
 
 def positions(program):
@@ -553,8 +555,16 @@ def positions(program):
     ]
 
 
+def token_parsed(parse, source):
+    """parse(tokenize(source)) with its positions, or the ParseError's fields."""
+    result = lexed(lambda s: parse(lang.tokenize(s)), source)
+    return (result, positions(result)) if isinstance(result, Program) else result
+
+
 def assert_parses_like_the_token_parser(source):
     expected = lexed(lambda s: lang.parse(lang.tokenize(s)), source)
+    reference = token_parsed(lambda tokens: RecursiveDescentParser(tokens).program(), source)
+    assert token_parsed(lang.parse, source) == reference, repr(source)
     program = lang._parse_lines(source)
     if isinstance(expected, Program):
         assert program is not None, repr(source)
@@ -611,6 +621,9 @@ class TestLineParserAgainstTokenParser:
             ("oracle qubit = id", False),
             ("qubit pi = |0>", False),
             ("qubit q = |0>\nR(1e999) q", False),
+            ("R(1e999) q", False),
+            ("qubit q = |0>\nR(1e999) p", False),
+            ("qubit q = |0>\nR(1e999)", False),
             ("qubit q = |0>\nR(pi/25) q", False),
             ("qubit q = |0>\nHq", False),
             ("oracle f = const0x", False),
