@@ -819,6 +819,98 @@ class TestCompactedNodes:
         assert report_record(fc._trie_shots(c, n, root, 12)) == expected
 
 
+class TestPrefixState:
+    """_trie_shots runs a terminal program's gates through _prefix_state,
+    which leaves each product in np.dot's axis order above
+    GATHER_MAX_QUBITS and transposes once at the end; it must leave the
+    bytes run_circuit leaves, one apply_gate per gate."""
+
+    @pytest.mark.parametrize("case", ["wide", "wide, repeated", *range(4)])
+    def test_wide_terminal_circuits(self, case):
+        c, _ = wide_terminal_circuit(random.Random(case), repeat=case == "wide, repeated")
+        assert_prefix_state_is_run_circuits(c)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_programs_of_up_to_twelve_qubits(self, seed):
+        # as generated, and without their measures, so that the prefix runs
+        # to the end; about half of those gate a register above 8 qubits
+        rng = random.Random(f"prefix:{seed}")
+        for _ in range(20):
+            program = lang.parse_source(random_program(rng, max_qubits=12, max_statements=80))
+            c, oracles = lang.compile_program(program)
+            assert_prefix_state_is_run_circuits(c)
+            gates_only = [ins for ins in c.instructions if not isinstance(ins, Measure)]
+            assert_prefix_state_is_run_circuits(fc.validate_circuit(Circuit(gates_only), oracles))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_allocations_between_gates_cross_into_the_wide_register(self, seed):
+        # edit-loop's shape: a qubit allocated after gates joins the last
+        # axis of a product whose axes are out of qubit order
+        c = growing_circuit(random.Random(seed))
+        assert sum(op[0] == "measure" for op in c.ops) > state.GATHER_MAX_QUBITS
+        assert_prefix_state_is_run_circuits(c)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_signed_zeros_of_allocations_after_gates(self, seed):
+        # a gate's np.dot sums to +0.0, but |0> and |-> allocated after the
+        # gates multiply negative parts by 0.0 and zeros by -1/sqrt(2)
+        rng = random.Random(seed)
+        names = [f"q{i}" for i in range(rng.randint(9, state.MAX_QUBITS))]
+        instructions = [Alloc(q, rng.choice(["|->", "H|1>", "|1>", "|0>"])) for q in names[:-2]]
+        instructions += [Apply(rng.choice(["Z", "X", "H"]), (rng.choice(names[:-2]),)) for _ in range(30)]
+        c = fc.validate_circuit(Circuit([*instructions, Alloc(names[-2], "|0>"), Alloc(names[-1], "|->")]), {})
+        parts = fc._prefix_state(c.ops).view(float)
+        assert (np.signbit(parts) & (parts == 0)).any()
+        assert_prefix_state_is_run_circuits(c)
+
+    @pytest.mark.parametrize("qubits", [0, 1, 8, 9, 12])
+    def test_empty_and_all_allocation_prefixes(self, qubits):
+        allocations = [Alloc(f"q{i}", "|->" if i % 2 else "|0>") for i in range(qubits)]
+        c = fc.validate_circuit(Circuit(allocations + [Measure("q0")] * (qubits > 0)), {})
+        assert_prefix_state_is_run_circuits(c)
+        assert fc._prefix_state(()).tobytes() == np.ones(1, dtype=np.complex128).tobytes()
+
+    def test_a_wide_terminal_run_calls_neither_apply_gate_nor_run_circuit(self, monkeypatch):
+        c, oracles = wide_terminal_circuit(random.Random("counted"))
+        expected = report_record(reference_run_shots(c, oracles, 3, 20))
+        for name, module in (("apply_gate", state), ("run_circuit", fc), ("iter_steps", fc)):
+            monkeypatch.setattr(module, name, None)
+        assert report_record(fc.run_shots(c, oracles, 3, 20)) == expected
+
+
+def assert_prefix_state_is_run_circuits(c):
+    """_prefix_state of the ops before c's first measure has the shape and
+    bytes of run_circuit's final state on those instructions."""
+    first = next((i for i, op in enumerate(c.ops) if op[0] == "measure"), len(c.ops))
+    prefix = Circuit(c.instructions[:first], c.ops[:first], c.oracles)
+    expected = fc.run_circuit(prefix, c.oracles, 0).final_state
+    psi = fc._prefix_state(c.ops[:first])
+    assert (psi.shape, psi.tobytes()) == (expected.shape, expected.tobytes())
+
+
+def growing_circuit(rng):
+    """A resolved terminal program of 9-12 qubits that allocates 1-8 of
+    them, then the others one at a time, each after one to six gates."""
+    oracles, size = {"f": rng.choice(list(OracleFn))}, rng.randint(state.GATHER_MAX_QUBITS + 1, state.MAX_QUBITS)
+    names, instructions = [], []
+    for _ in range(rng.randint(1, state.GATHER_MAX_QUBITS)):
+        names.append(f"q{len(names)}")
+        instructions.append(Alloc(names[-1], rng.choice(list(fc.KET_VECTORS))))
+    while True:
+        for _ in range(rng.randint(1, 6)):
+            if len(names) > 1 and rng.random() < 0.4:
+                instructions.append(rng.choice([ApplyOracle("f", *rng.sample(names, 2)), Apply("CNOT", tuple(rng.sample(names, 2)))]))
+            else:
+                name = rng.choice(["I", "X", "Z", "H", "R"])
+                instructions.append(Apply(name, (rng.choice(names),), rng.choice([0.5, -0.75]) if name == "R" else None))
+        if len(names) == size:
+            break
+        names.append(f"q{len(names)}")
+        instructions.append(Alloc(names[-1], rng.choice(list(fc.KET_VECTORS))))
+    measures = [Measure(q) for q in rng.sample(names, len(names))]
+    return fc.validate_circuit(Circuit(instructions + measures), oracles)
+
+
 def reference_run_circuit(circuit, seed):
     """One shot of a resolved circuit as run_circuit ran it before iter_steps
     tested for gates first and built its records through tuple.__new__:
