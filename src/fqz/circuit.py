@@ -397,9 +397,9 @@ def _prefix_state(ops: tuple) -> np.ndarray:
         elif len(order) <= state.GATHER_MAX_QUBITS:
             psi = state.apply_gate(psi, op[1], op[2])
         else:  # apply_gate's operand and np.dot, with the other qubits' columns in `order`'s order
-            shape, axes, _, _, rows, _ = state._cached_layout(tuple(order.index(t) for t in op[2]), len(order))
-            psi = np.dot(op[1].matrix, psi.reshape(shape).transpose(axes).reshape(rows, -1)).reshape(-1)
-            order = [*op[2], *(q for q in order if q not in op[2])]
+            shape, axes, _, _, rows, _ = state._cached_layout(tuple(map(order.index, op[2])), len(order))
+            psi = np.dot(op[1].matrix, psi.reshape(shape).transpose(axes).reshape(rows, -1))
+            order = [*op[2], *[q for q in order if q not in op[2]]]
     return psi.reshape((2,) * len(order)).transpose(np.argsort(order)).reshape(-1)
 
 

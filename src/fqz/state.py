@@ -10,9 +10,10 @@ np.dot, moving the data as one cached record per (targets, register size)
 says, and moves the product back to qubit order; the tests hold it
 against a brute-force reference that builds the full 2**n x 2**n matrix.
 circuit's terminal-program prefix reads the same records by the axis each
-qubit sits on, keeps each product's axis order and transposes once. measure_qubit reads a qubit's two branches as
-strided views: branch_probability sums one, a splitmix64 draw picks one,
-and only that one is kept; circuit.run_shots reproduces its bytes.
+qubit sits on, keeps each product's axis order and transposes once.
+measure_qubit reads a qubit's two branches as strided views:
+branch_probability sums one, a splitmix64 draw picks one, and only that
+one is kept; circuit.run_shots reproduces its bytes.
 """
 from __future__ import annotations
 
