@@ -14,11 +14,11 @@ circuit before any instruction runs (lang.compile_program and the
 checker's PROG-SCOPE rule defer to it) and returns it resolved. The
 runners reuse a resolved circuit under an equal oracle table and
 validate any other first. A terminal program (every measure after the
-last gate) run for 2+ shots runs its gates once, leaving each product on
-a register above state.GATHER_MAX_QUBITS in np.dot's axis order and
-transposing once at the end, then splits the shots a measure at a time,
-on compacted states. Any other re-runs every step per shot; only shot 0
-gets a report, the rest are read off iter_steps' bits.
+last gate) run for 2+ shots runs its gates once, leaving each product in
+np.dot's axis order and transposing once at the end, then splits the
+shots a measure at a time, on compacted states. Any other re-runs every
+step per shot; only shot 0 gets a report, the rest are read off
+iter_steps' bits.
 """
 from __future__ import annotations
 
@@ -383,10 +383,9 @@ def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int
 
 def _prefix_state(ops: tuple) -> np.ndarray:
     """The state that resolved ops with no measure leave, bit for bit as
-    iter_steps makes it. Up to state.GATHER_MAX_QUBITS qubits each gate
-    goes through state.apply_gate; above, its product stays targets first,
-    as np.dot leaves it: `order` names the qubit on each axis, and one
-    transpose at the end puts them back in qubit order."""
+    iter_steps makes it. Each gate's product stays targets first, as np.dot
+    leaves it: `order` names the qubit on each axis, and one transpose at
+    the end puts them back in qubit order."""
     psi, order = np.ones(1, dtype=np.complex128), []
     for op in ops:
         if op[0] == "state":
@@ -394,8 +393,6 @@ def _prefix_state(ops: tuple) -> np.ndarray:
         elif op[0] == "alloc":
             psi = np.multiply.outer(psi, op[1]).reshape(-1)
             order.append(len(order))
-        elif len(order) <= state.GATHER_MAX_QUBITS:
-            psi = state.apply_gate(psi, op[1], op[2])
         else:  # apply_gate's operand and np.dot, with the other qubits' columns in `order`'s order
             shape, axes, _, _, rows, _ = state._cached_layout(tuple(map(order.index, op[2])), len(order))
             psi = np.dot(op[1].matrix, psi.reshape(shape).transpose(axes).reshape(rows, -1))

@@ -364,6 +364,8 @@ class TestShotEngine:
         assert [report_record(fc.run_shots(c, oracles, root, 1)) for root in self.ROOTS] == expected, case
 
     def test_terminal_programs_run_each_gate_once(self, monkeypatch):
+        # every gate run, in apply_gate or in the terminal prefix's fold,
+        # looks up its placement record once
         calls = Counter()
 
         def counted(name, fn):
@@ -373,15 +375,15 @@ class TestShotEngine:
 
             return wrapper
 
-        for name in ("apply_gate", "measure_qubit"):
+        for name in ("_cached_layout", "apply_gate", "measure_qubit"):
             monkeypatch.setattr(state, name, counted(name, getattr(state, name)))
         terminal = Circuit((Alloc("a", "|+>"), Alloc("b", "|0>"), Apply("H", ("b",)), Measure("a"), Measure("b")))
         fc.run_shots(terminal, {}, 3, 500)
-        assert calls == {"apply_gate": 1}
+        assert calls == {"_cached_layout": 1}
         calls.clear()
         midcircuit = Circuit((*terminal.instructions[:4], Apply("H", ("a",)), Measure("b")))
         fc.run_shots(midcircuit, {}, 3, 500)
-        assert calls == {"apply_gate": 2 * 500, "measure_qubit": 2 * 500}
+        assert calls == {"_cached_layout": 2 * 500, "apply_gate": 2 * 500, "measure_qubit": 2 * 500}
 
 
 class TestLower:
@@ -821,9 +823,9 @@ class TestCompactedNodes:
 
 class TestPrefixState:
     """_trie_shots runs a terminal program's gates through _prefix_state,
-    which leaves each product in np.dot's axis order above
-    GATHER_MAX_QUBITS and transposes once at the end; it must leave the
-    bytes run_circuit leaves, one apply_gate per gate."""
+    which leaves each product in np.dot's axis order and transposes once
+    at the end; it must leave the bytes run_circuit leaves, one apply_gate
+    per gate."""
 
     @pytest.mark.parametrize("case", ["wide", "wide, repeated", *range(4)])
     def test_wide_terminal_circuits(self, case):
@@ -833,7 +835,8 @@ class TestPrefixState:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_programs_of_up_to_twelve_qubits(self, seed):
         # as generated, and without their measures, so that the prefix runs
-        # to the end; about half of those gate a register above 8 qubits
+        # to the end; about half of those gate a register of 1-8 qubits,
+        # where apply_gate gathers and the fold transposes
         rng = random.Random(f"prefix:{seed}")
         for _ in range(20):
             program = lang.parse_source(random_program(rng, max_qubits=12, max_statements=80))
