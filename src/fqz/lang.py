@@ -173,23 +173,45 @@ class Program(NamedTuple):
     statements: tuple[Stmt, ...]
 
 
-# The statement forms: after each head, its tokens in order as (kind, what
-# is expected, role). A role (names, declared, message) holds the token's
-# name to the oracles or qubits declared before it; _KIND asks for an
-# oracle kind keyword.
-_KIND = object()
-_ORACLE_NAME, _QUBIT_NAME = (TokenKind.IDENT, "an oracle name"), (TokenKind.IDENT, "a qubit name")
-_QUBIT = (*_QUBIT_NAME, ("qubit", True, "undeclared qubit {!r}"))
+class _Scope(NamedTuple):
+    """A name token's scoping rule: whether the `names` declared before it
+    must hold it already, and the error if they do not (or do)."""
+    names: str
+    declared: bool
+    message: str
+
+
+def _oracle_decl(head: Token, name: Token, _: Token, kind: Token) -> OracleDecl:
+    if kind.kind is not TokenKind.KEYWORD or kind.lexeme not in ORACLE_KEYWORDS:
+        raise ParseError("expected an oracle kind: const0, const1, id, or not", kind.line, kind.column, [TokenKind.KEYWORD])
+    return OracleDecl(name.lexeme, ORACLE_KEYWORDS[kind.lexeme], head.line, head.column)
+
+
+def _rotation(head: Token, _: Token, angle: Token, __: Token, target: Token) -> Apply:
+    if not math.isfinite(value := float(_PI_FRACTIONS.get(angle.lexeme, angle.lexeme))):
+        raise ParseError(f"number literal {angle.lexeme!r} overflows", angle.line, angle.column)
+    return Apply("R", (target.lexeme,), value, head.line, head.column)
+
+
+# The statement forms: after each head, the tokens it takes in order, each
+# (kind, what is expected, scoping rule or None), and the function that
+# builds the statement from the head and those tokens. A kind of None takes
+# any token and leaves it to the builder.
+_QUBIT = (TokenKind.IDENT, "a qubit name", _Scope("qubit", True, "undeclared qubit {!r}"))
+_NEW_QUBIT = (TokenKind.IDENT, "a qubit name", _Scope("qubit", False, "qubit {!r} already declared"))
+_ORACLE = (TokenKind.IDENT, "an oracle name", _Scope("oracle", True, "undeclared oracle {!r}"))
+_NEW_ORACLE = (TokenKind.IDENT, "an oracle name", _Scope("oracle", False, "duplicate oracle declaration {!r}"))
 _EQUALS = (TokenKind.EQUALS, "'='", None)
 _FORMS = {
-    "oracle": ((*_ORACLE_NAME, ("oracle", False, "duplicate oracle declaration {!r}")), _EQUALS,
-               (TokenKind.KEYWORD, "an oracle kind: const0, const1, id, or not", _KIND)),
-    "qubit": ((*_QUBIT_NAME, ("qubit", False, "qubit {!r} already declared")), _EQUALS, (TokenKind.KET, "a ket literal", None)),
-    "measure": (_QUBIT,),
-    **dict.fromkeys(SINGLE_QUBIT_GATES, (_QUBIT,)),
-    "R": ((TokenKind.LPAREN, "'('", None), (TokenKind.NUMBER, "an angle", None), (TokenKind.RPAREN, "')'", None), _QUBIT),
-    "N": ((TokenKind.LBRACKET, "'['", None), (*_ORACLE_NAME, ("oracle", True, "undeclared oracle {!r}")),
-          (TokenKind.RBRACKET, "']'", None), _QUBIT, _QUBIT),
+    "oracle": ((_NEW_ORACLE, _EQUALS, (None, None, None)), _oracle_decl),
+    "qubit": ((_NEW_QUBIT, _EQUALS, (TokenKind.KET, "a ket literal", None)),
+              lambda head, name, _, ket: Alloc(name.lexeme, ket.lexeme, head.line, head.column)),
+    "measure": ((_QUBIT,), lambda head, q: Measure(q.lexeme, head.line, head.column)),
+    **dict.fromkeys(SINGLE_QUBIT_GATES, ((_QUBIT,), lambda head, q: Apply(head.lexeme, (q.lexeme,), None, head.line, head.column))),
+    "R": (((TokenKind.LPAREN, "'('", None), (TokenKind.NUMBER, "an angle", None), (TokenKind.RPAREN, "')'", None), _QUBIT),
+          _rotation),
+    "N": (((TokenKind.LBRACKET, "'['", None), _ORACLE, (TokenKind.RBRACKET, "']'", None), _QUBIT, _QUBIT),
+          lambda head, _, f, __, control, register: ApplyOracle(f.lexeme, control.lexeme, register.lexeme, head.line, head.column)),
 }
 _TRIVIA = (TokenKind.NEWLINE, TokenKind.COMMENT)
 
@@ -220,31 +242,17 @@ def parse(tokens: list[Token]) -> Program:
         if form is None:
             expected = [TokenKind.KEYWORD, TokenKind.GATE]
             raise ParseError(f"expected a statement, found {_describe(head)}", head.line, head.column, expected)
-        words = tokens[pos + 1 : pos + 1 + len(form)]
-        for tok, (kind, what, role) in zip(words, form):  # a mismatch raises before the slice can run out
-            if tok.kind is not kind or role is _KIND and tok.lexeme not in ORACLE_KEYWORDS:
-                found = "" if role is _KIND else f", found {_describe(tok)}"
-                raise ParseError(f"expected {what}{found}", tok.line, tok.column, expected=[kind])
-            if type(role) is tuple:
-                if (tok.lexeme in names[role[0]]) is not role[1]:
-                    raise ParseError(role[2].format(tok.lexeme), tok.line, tok.column)
-                names[role[0]].add(tok.lexeme)
-        at, lexemes = (head.line, head.column), [tok.lexeme for tok in words]
-        if head.lexeme == "oracle":
-            decls.append(OracleDecl(lexemes[0], ORACLE_KEYWORDS[lexemes[2]], *at))
-        elif head.lexeme == "qubit":
-            stmts.append(Alloc(lexemes[0], lexemes[2], *at))
-        elif head.lexeme == "measure":
-            stmts.append(Measure(lexemes[0], *at))
-        elif head.lexeme == "N":
-            stmts.append(ApplyOracle(lexemes[1], lexemes[3], lexemes[4], *at))
-        elif head.lexeme == "R":
-            if not math.isfinite(value := float(_PI_FRACTIONS.get(lexemes[1], lexemes[1]))):
-                raise ParseError(f"number literal {lexemes[1]!r} overflows", words[1].line, words[1].column)
-            stmts.append(Apply("R", (lexemes[3],), value, *at))
-        else:
-            stmts.append(Apply(head.lexeme, (lexemes[0],), None, *at))
-        pos += 1 + len(form)
+        specs, build = form
+        words = tokens[pos + 1 : pos + 1 + len(specs)]
+        for tok, (kind, what, scope) in zip(words, specs):  # a mismatch raises before the slice can run out
+            if kind is not None and tok.kind is not kind:
+                raise ParseError(f"expected {what}, found {_describe(tok)}", tok.line, tok.column, expected=[kind])
+            if scope is not None:
+                if (tok.lexeme in names[scope.names]) is not scope.declared:
+                    raise ParseError(scope.message.format(tok.lexeme), tok.line, tok.column)
+                names[scope.names].add(tok.lexeme)
+        (decls if head.lexeme == "oracle" else stmts).append(build(head, *words))
+        pos += 1 + len(specs)
         if tokens[pos].kind not in (*_TRIVIA, TokenKind.EOF):
             tok, expected = tokens[pos], [TokenKind.NEWLINE, TokenKind.EOF]
             raise ParseError(f"expected end of line, found {_describe(tok)}", tok.line, tok.column, expected)
