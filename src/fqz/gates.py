@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, as_matrix, check_tol, is_unitary
+from .linalg import DEFAULT_TOL, as_matrix, check_tol, is_unitary_square
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -122,7 +122,17 @@ def mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.nda
     the module docstring); with fewer the mapping is not total. Any further
     pair (Hadamard's are quoted in both bases) is held against U, and the
     first that disagrees is named. Mappings that fail to induce a unitary
-    are rejected, in particular two inputs sent to the same state.
+    are rejected, in particular two inputs sent to the same state. U comes
+    from induced_matrix, which check_gate calls itself to share a test.
+    """
+    u = induced_matrix(mapping, tol)
+    if not is_unitary_square(u, tol):
+        raise not_unitary_error(colliding_inputs(mapping, tol))
+    return u
+
+
+def induced_matrix(mapping: BasisMapping, tol: float) -> np.ndarray:
+    """mapping_to_matrix's U and MappingErrors, short of testing U's unitarity.
 
     Exactly 2**arity basis-labelled inputs (every built-in but H) form a
     permutation P that LAPACK inverts exactly to P^T. A built P^T gives the
@@ -137,26 +147,28 @@ def mapping_to_matrix(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> np.nda
         raise MappingError(f"mapping is not total: its {len(mapping.pairs)} input kets do not span dimension {dim}")
     v_out = mapping._outputs
     if len(mapping.pairs) == dim and {"+", "-"}.isdisjoint(label for label, _ in mapping.pairs):
-        u = v_out @ np.eye(dim, dtype=np.complex128)[[int(label, 2) for label, _ in mapping.pairs]]
-    else:
-        v_in = np.array([ket_vector(label, mapping.arity) for label, _ in mapping.pairs]).T
-        u = v_out[:, :dim] @ np.linalg.inv(v_in[:, :dim])
-        residuals = np.abs(u @ v_in - v_out).max(axis=0)
-        for (label, expr), residual in zip(mapping.pairs, residuals):
-            if residual > tol:
-                raise MappingError(f"pair |{label}> -> {_expr_text(expr)} is inconsistent with the other pairs")
-    if not is_unitary(u, tol):
-        collision = colliding_inputs(mapping, tol)
-        if collision is not None:
-            a, b = collision
-            raise MappingError(f"inputs |{a}> and |{b}> map to the same state, so the mapping is not injective")
-        raise MappingError("mapping does not induce a unitary matrix")
+        return v_out @ np.eye(dim, dtype=np.complex128)[[int(label, 2) for label, _ in mapping.pairs]]
+    v_in = np.array([ket_vector(label, mapping.arity) for label, _ in mapping.pairs]).T
+    u = v_out[:, :dim] @ np.linalg.inv(v_in[:, :dim])
+    residuals = np.abs(u @ v_in - v_out).max(axis=0)
+    for (label, expr), residual in zip(mapping.pairs, residuals):
+        if residual > tol:
+            raise MappingError(f"pair |{label}> -> {_expr_text(expr)} is inconsistent with the other pairs")
     return u
+
+
+def not_unitary_error(collision: tuple[str, str] | None) -> MappingError:
+    """mapping_to_matrix's error for a U that is not unitary, given colliding_inputs."""
+    if collision is None:
+        return MappingError("mapping does not induce a unitary matrix")
+    a, b = collision
+    return MappingError(f"inputs |{a}> and |{b}> map to the same state, so the mapping is not injective")
 
 
 def colliding_inputs(mapping: BasisMapping, tol: float = DEFAULT_TOL) -> tuple[str, str] | None:
     """The first pair of inputs, in pair order, that the mapping sends to
     the same state (within tol), or None if the mapping is injective."""
+    check_tol(tol)
     if len(mapping.pairs) < 2:
         return None
     v_out = mapping._outputs

@@ -11,6 +11,10 @@ import cmath
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+# Read-only identities of the gate sizes, shared by every unitarity test.
+_IDENTITIES = {dim: np.eye(dim, dtype=np.complex128) for dim in (2, 4)}
+for _eye in _IDENTITIES.values():
+    _eye.setflags(write=False)
 
 
 def check_tol(tol: float) -> None:
@@ -36,13 +40,16 @@ def as_matrix(data) -> np.ndarray:
 
 
 def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
-    """True iff m·m† and m†·m both equal the identity within tol (False
-    when a product of huge finite entries overflows to inf or NaN)."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        return False
+    """True iff m is square and m·m† and m†·m both equal the identity within
+    tol (False when a product of huge finite entries overflows to inf or NaN)."""
     check_tol(tol)
-    eye = np.eye(m.shape[0], dtype=np.complex128)
+    m = as_matrix(m)
+    return m.shape[0] == m.shape[1] and is_unitary_square(m, tol)
+
+
+def is_unitary_square(m: np.ndarray, tol: float) -> bool:
+    """is_unitary on a square as_matrix result and a tol check_tol passed, checking neither again."""
+    eye = _IDENTITIES[len(m)] if len(m) in _IDENTITIES else np.eye(len(m), dtype=np.complex128)
     mh = m.conj().T
     return float(np.maximum(np.abs(m @ mh - eye), np.abs(mh @ m - eye)).max()) <= tol
 

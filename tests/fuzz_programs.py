@@ -16,8 +16,12 @@ ORACLE_KINDS = ["const0", "const1", "id", "not"]
 GATE_NAMES = ["I", "X", "Z", "H"]
 
 
-def random_program(rng: random.Random, max_qubits: int = 4, max_statements: int = 20) -> str:
+def random_program(rng: random.Random, max_qubits: int = 4, max_statements: int = 20, terminal: bool = False) -> str:
+    """A valid program of at most max_statements statements. With `terminal`,
+    each measure drawn is held back and written after every other statement,
+    in the order drawn; the draws do not change, so neither do the statements."""
     lines: list[str] = []
+    held: list[str] = []
     oracles: list[str] = []
     for i in range(rng.randint(0, 2)):
         name = f"f{i}"
@@ -44,10 +48,11 @@ def random_program(rng: random.Random, max_qubits: int = 4, max_statements: int 
         elif move == "rot":
             lines.append(f"R({rng.choice(ANGLES)}) {rng.choice(qubits)}")
         elif move == "measure":
-            lines.append(f"measure {rng.choice(qubits)}")
+            (held if terminal else lines).append(f"measure {rng.choice(qubits)}")
         else:
             control, register = rng.sample(qubits, 2)
             lines.append(f"N[{rng.choice(oracles)}] {control} {register}")
+    lines.extend(held)
 
     # sprinkle trivia the canonical form will strip
     out: list[str] = []

@@ -20,8 +20,8 @@ from fuzz_programs import random_program
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqz import checker, gates, lang
-from fqz.circuit import iter_steps
+from fqz import checker, gates, lang, linalg
+from fqz.circuit import OracleFn, iter_steps, oracle_gate
 
 # a numpy RuntimeWarning that a test does not ignore in its body fails it:
 # the checker promises to stay quiet on any input
@@ -176,6 +176,27 @@ class TestMappingToMatrix:
         assert len(inverted) == (name == "H")
 
 
+# R at the benchmark workloads' angles and at both zeros, and every oracle
+R_ANGLES = (math.pi, math.pi / 2, math.pi / 4, 0.5, -0.75, 1.25, 0.123456, 0.0, -0.0)
+BUILTIN_GATES = (
+    *(gates.gate(name) for name in ("I", "X", "Z", "H", "CNOT")),
+    *(gates.gate("R", angle) for angle in R_ANGLES),
+    *(oracle_gate(fn.value, fn) for fn in OracleFn),
+)
+
+
+def _unitarity_gap(m) -> float:
+    """The largest entry of |m·m† - 1| and |m†·m - 1|, as is_unitary forms it."""
+    m = np.asarray(m, dtype=np.complex128)
+    eye = np.eye(len(m), dtype=np.complex128)
+    return float(np.maximum(np.abs(m @ m.conj().T - eye), np.abs(m.conj().T @ m - eye)).max())
+
+
+def _edges(x: float):
+    """x and its neighbouring doubles, those of them that are valid tolerances."""
+    return [t for t in (np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)) if 0.0 < t < 1.0]
+
+
 class TestCheckGate:
     @settings(max_examples=150, deadline=None)
     @given(st.data(), TOLERANCES)
@@ -200,6 +221,84 @@ class TestCheckGate:
     def test_same_report_on_pinned_subjects(self, name, matrix, tol):
         g = gates.Gate(name, gates.gate(name).arity, matrix, gates.gate(name).mapping)
         assert checker.check_gate(g, tol) == inverting_check_gate(g, tol)
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-9, 0.5])
+    @pytest.mark.parametrize("g", BUILTIN_GATES, ids=lambda g: f"{g.name}({g.parameter!r})" if g.name == "R" else g.name)
+    def test_same_report_on_every_builtin(self, g, tol):
+        assert checker.check_gate(g, tol) == inverting_check_gate(g, tol)
+
+    @pytest.mark.parametrize("g", BUILTIN_GATES, ids=lambda g: f"{g.name}({g.parameter!r})" if g.name == "R" else g.name)
+    def test_same_report_at_each_builtins_own_unitarity_gap(self, g):
+        # the tolerance edge of GATE-U, whose verdict GATE-M now reuses
+        for tol in _edges(_unitarity_gap(g.matrix)) + _edges(5e-324):
+            assert checker.check_gate(g, tol) == inverting_check_gate(g, tol), tol
+
+    @pytest.mark.parametrize("name", ["I", "X", "Z", "CNOT", "N"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matrices_equal_to_the_induced_one_up_to_signed_zeros(self, name, order):
+        # Z's induced matrix holds -0.0 at [1, 0]: each zero of the gate's
+        # matrix is flipped in turn, and all of them at once; in Fortran
+        # order the products run on another layout, so nothing is reused
+        base = oracle_gate("f", OracleFn.NEGATION) if name == "N" else gates.gate(name)
+        induced = inverting_mapping_to_matrix(base.mapping)
+        zeros = list(zip(*np.nonzero(induced == 0)))
+        for flips in [[cell] for cell in zeros] + [zeros]:
+            matrix = induced.copy()
+            for cell in flips:
+                matrix[cell] = complex(-math.copysign(0.0, matrix[cell].real), -math.copysign(0.0, matrix[cell].imag))
+            assert np.array_equal(matrix, induced) and matrix.tobytes() != induced.tobytes()
+            g = gates.Gate(name, base.arity, np.asarray(matrix, order=order), base.mapping)
+            for tol in (1e-300, 1e-15, 1e-9, 0.5):
+                assert checker.check_gate(g, tol) == inverting_check_gate(g, tol)
+                assert checker.check_gate(g, tol).overall
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-15, 1e-9, 0.5, 0.999])
+    @pytest.mark.parametrize("name", ["X", "Z", "H", "CNOT"])
+    def test_matrices_off_by_just_under_and_just_over_the_tolerance(self, name, tol):
+        # a zero entry (an exact one for H) moved by a double either side
+        # of tol: GATE-M's gap is that double exactly
+        g = gates.gate(name)
+        for delta in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)):
+            matrix = g.matrix.copy()
+            cell = (0, 1) if name == "H" else tuple(np.argwhere(matrix == 0)[0])
+            matrix[cell] += delta
+            report = checker.check_gate(gates.Gate(name, g.arity, matrix, g.mapping), tol)
+            assert report == inverting_check_gate(gates.Gate(name, g.arity, matrix, g.mapping), tol)
+            if name != "H":
+                assert report.checks[1].passed is bool(delta <= tol)
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-15, 1e-9, 0.5])
+    def test_mappings_that_induce_no_unitary(self, tol):
+        # collisions and injective mappings that are not norm-preserving,
+        # each with its own induced matrix (the outputs as columns, the
+        # inputs being the basis in order), so that GATE-U's verdict is
+        # reused, and with the identity
+        amp = complex(math.sqrt(0.5), 0.0)
+        cases = [
+            gates.BasisMapping(1, (("0", gates.ket("0")), ("1", gates.ket("0")))),
+            gates.BasisMapping(2, tuple((label, gates.ket("11")) for label in BASIS[2])),
+            gates.BasisMapping(1, (("0", gates.ket("0")), ("1", gates.KetExpr(((amp, "0"), (amp, "1")))))),
+            gates.BasisMapping(1, (("0", gates.ket("0")), ("1", gates.ket("1", 1.0 + 4e-10)))),
+        ]
+        for mapping in cases:
+            induced = np.array([expr.vector(mapping.arity) for _, expr in mapping.pairs]).T
+            for matrix in (np.eye(2**mapping.arity), induced.copy()):
+                g = gates.Gate("G", mapping.arity, matrix, mapping)
+                for t in [tol, *_edges(_unitarity_gap(induced))]:
+                    assert checker.check_gate(g, t) == inverting_check_gate(g, t), (mapping, t)
+
+    def test_one_unitarity_product_per_builtin_but_two_for_h(self, monkeypatch):
+        # GATE-M reuses GATE-U's verdict when the mapping induces the gate's
+        # own matrix; H's induced matrix comes from a solve and differs
+        calls = []
+        core = linalg.is_unitary_square
+        monkeypatch.setattr(checker, "is_unitary_square", lambda m, tol: calls.append(m) or core(m, tol))
+        monkeypatch.setattr(gates, "is_unitary_square", lambda m, tol: calls.append(m) or core(m, tol))
+        monkeypatch.setattr(checker, "mapping_to_matrix", None)  # not called either
+        for g in BUILTIN_GATES:
+            calls.clear()
+            assert checker.check_gate(g).overall
+            assert len(calls) == (2 if g.name == "H" else 1), g.name
 
 
 def _linalg_norm_detail(source: str) -> str:

@@ -314,6 +314,18 @@ class TestShotEngine:
                     monkeypatch.setattr(fc, "BLOCK_DRAWS", block)
                     assert report_record(fc.run_shots(c, oracles, root, shots)) == expected, (case, root, shots, block)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_terminal_programs_of_up_to_twelve_qubits(self, seed):
+        # random_program's measures held to the end: about a third of these gate
+        # a register of more than 8 qubits before their first measure
+        rng = random.Random(f"engine:{seed}")
+        wide = 0
+        for _ in range(6):
+            c, oracles = lang.compile_program(lang.parse_source(random_program(rng, 12, 60, terminal=True)))
+            assert report_record(fc.run_shots(c, oracles, seed, 20)) == report_record(reference_run_shots(c, oracles, seed, 20))
+            wide += len(gated_prefix_qubits(c)) > state.GATHER_MAX_QUBITS
+        assert wide > 0
+
     def test_a_drifted_state_never_reads_its_empty_branch(self, monkeypatch):
         # qubit a is |1> at norm 0.9: p(1) = 0.81, so about a fifth of the
         # draws fall in branch 0, which holds no amplitude
@@ -834,16 +846,17 @@ class TestPrefixState:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_programs_of_up_to_twelve_qubits(self, seed):
-        # as generated, and without their measures, so that the prefix runs
-        # to the end; about half of those gate a register of 1-8 qubits,
-        # where apply_gate gathers and the fold transposes
+        # as generated, and with their measures held to the end, so that the
+        # prefix runs through every gate; about half of those gate a register
+        # of 1-8 qubits, where apply_gate gathers and the fold transposes
         rng = random.Random(f"prefix:{seed}")
+        wide = 0
         for _ in range(20):
-            program = lang.parse_source(random_program(rng, max_qubits=12, max_statements=80))
-            c, oracles = lang.compile_program(program)
-            assert_prefix_state_is_run_circuits(c)
-            gates_only = [ins for ins in c.instructions if not isinstance(ins, Measure)]
-            assert_prefix_state_is_run_circuits(fc.validate_circuit(Circuit(gates_only), oracles))
+            for terminal in (False, True):
+                c, _ = lang.compile_program(lang.parse_source(random_program(rng, 12, 80, terminal=terminal)))
+                assert_prefix_state_is_run_circuits(c)
+            wide += len(gated_prefix_qubits(c)) > state.GATHER_MAX_QUBITS
+        assert wide > 0
 
     @pytest.mark.parametrize("seed", range(30))
     def test_allocations_between_gates_cross_into_the_wide_register(self, seed):
@@ -991,12 +1004,18 @@ def wide_terminal_circuit(rng, repeat=False):
 
 def terminal_circuit(rng, max_qubits=6):
     """A valid random program of 1 to max_qubits qubits with its measures
-    moved after its last gate, in their order, and its oracle table."""
-    program = lang.parse_source(random_program(rng, max_qubits=max_qubits, max_statements=30))
-    statements = program.statements
-    body = [s for s in statements if not isinstance(s, Measure)]
-    measures = [s for s in statements if isinstance(s, Measure)]
-    return Circuit(body + measures), {decl.name: decl.fn for decl in program.oracle_decls}
+    after its last gate, in their order, and its oracle table."""
+    program = lang.parse_source(random_program(rng, max_qubits=max_qubits, max_statements=30, terminal=True))
+    return Circuit(program.statements), {decl.name: decl.fn for decl in program.oracle_decls}
+
+
+def gated_prefix_qubits(c):
+    """The qubits allocated before c's first measure, if a gate runs on
+    them after the last of those allocations, else none."""
+    first = next((i for i, op in enumerate(c.ops) if op[0] == "measure"), len(c.ops))
+    allocs = [i for i, ins in enumerate(c.instructions[:first]) if isinstance(ins, Alloc)]
+    gated = any(not isinstance(ins, Alloc) for ins in c.instructions[allocs[-1] + 1 : first]) if allocs else False
+    return allocs if gated else []
 
 
 def midcircuit_circuit(rng, max_qubits=6):

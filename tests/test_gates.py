@@ -139,6 +139,13 @@ class TestMappingToMatrix:
         with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1\)"):
             gates.mapping_to_matrix(mapping, tol)
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, -1.0, math.nan])
+    @pytest.mark.parametrize("name", ["X", "H", "CNOT"])
+    def test_colliding_inputs_checks_its_tolerance(self, name, tol):
+        # X's mapping used to read injective at NaN and -1, colliding at 2
+        with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1\)"):
+            gates.colliding_inputs(gates.gate(name).mapping, tol)
+
     def test_rejects_nonunitary_but_injective_mapping(self):
         # injective on the quoted kets yet not norm-preserving overall
         expr = gates.KetExpr(((complex(SQRT_HALF), "0"), (complex(SQRT_HALF), "1")))

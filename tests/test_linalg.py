@@ -106,6 +106,25 @@ class TestPredicates:
     def test_non_square_is_not_unitary(self):
         assert not linalg.is_unitary(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 5.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("m", [np.ones((2, 3)), np.eye(2), [[1, 1], [0, 1]], [["a"]]], ids=["2x3", "I", "shear", "text"])
+    def test_a_tolerance_outside_the_unit_interval_raises_first(self, m, tol):
+        # whatever the matrix: a 2x3 matrix used to read False at tol 5
+        with pytest.raises(ValueError, match=r"^tolerance must lie in \(0, 1\)"):
+            linalg.is_unitary(m, tol)
+
+    @given(complex_matrices(), st.sampled_from([1e-300, 1e-9, 0.5, 0.999]))
+    def test_the_square_core_is_is_unitary(self, m, tol):
+        square = m[: min(m.shape), : min(m.shape)]
+        assert linalg.is_unitary_square(square, tol) is linalg.is_unitary(square, tol)
+        unit = np.linalg.qr(square + np.eye(len(square)))[0]  # unitary up to rounding
+        assert linalg.is_unitary_square(unit, tol) is linalg.is_unitary(unit, tol)
+
+    def test_shared_identities_are_read_only(self):
+        for dim, eye in linalg._IDENTITIES.items():
+            assert not eye.flags.writeable
+            assert eye.tobytes() == np.eye(dim, dtype=np.complex128).tobytes()
+
     def test_overflowing_product_is_not_unitary(self):
         # finite entries, but 1e200 squared is inf: not unitary, no exception.
         # numpy warns of the overflow, which the module's pytestmark would
