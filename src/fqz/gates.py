@@ -7,7 +7,7 @@ matrix it induces, so the two definitions cross-check each other. Input
 labels are distinct kets of one alphabet ({0, 1, +, -} for one qubit, the
 computational basis for two), any 2**arity of which are independent: the
 first 2**arity pairs fix the matrix, and each further pair is checked.
-Basis-ket inputs are inverted exactly by transposing (mapping_to_matrix).
+Basis-ket inputs are inverted exactly by transposing (induced_matrix).
 
 Conventions used everywhere in this package:
   * big-endian qubit order: in a two-qubit label "xy", x is the most

@@ -2,8 +2,9 @@
 
 gates.mapping_to_matrix builds the inverse of basis-labelled inputs as
 their transpose instead of solving through inv(), checker.check_gate
-compares the induced matrix inline instead of through approx_equal, and
-PROG-NORM sums the squared moduli inline instead of calling
+compares the induced matrix inline instead of through approx_equal and
+reuses GATE-U's unitarity verdict for an induced matrix equal to the
+gate's, and PROG-NORM sums the squared moduli inline instead of calling
 np.linalg.norm. brute_force keeps the replaced functions; every result
 here must match theirs exactly: the same matrix bytes or MappingError
 text, the same report, the same detail.
@@ -185,6 +186,10 @@ BUILTIN_GATES = (
 )
 
 
+def _gate_id(g) -> str:
+    return f"{g.name}({g.parameter!r})" if g.name == "R" else g.name
+
+
 def _unitarity_gap(m) -> float:
     """The largest entry of |m·m† - 1| and |m†·m - 1|, as is_unitary forms it."""
     m = np.asarray(m, dtype=np.complex128)
@@ -223,11 +228,11 @@ class TestCheckGate:
         assert checker.check_gate(g, tol) == inverting_check_gate(g, tol)
 
     @pytest.mark.parametrize("tol", [1e-15, 1e-9, 0.5])
-    @pytest.mark.parametrize("g", BUILTIN_GATES, ids=lambda g: f"{g.name}({g.parameter!r})" if g.name == "R" else g.name)
+    @pytest.mark.parametrize("g", BUILTIN_GATES, ids=_gate_id)
     def test_same_report_on_every_builtin(self, g, tol):
         assert checker.check_gate(g, tol) == inverting_check_gate(g, tol)
 
-    @pytest.mark.parametrize("g", BUILTIN_GATES, ids=lambda g: f"{g.name}({g.parameter!r})" if g.name == "R" else g.name)
+    @pytest.mark.parametrize("g", BUILTIN_GATES, ids=_gate_id)
     def test_same_report_at_each_builtins_own_unitarity_gap(self, g):
         # the tolerance edge of GATE-U, whose verdict GATE-M now reuses
         for tol in _edges(_unitarity_gap(g.matrix)) + _edges(5e-324):
@@ -255,8 +260,8 @@ class TestCheckGate:
     @pytest.mark.parametrize("tol", [1e-300, 1e-15, 1e-9, 0.5, 0.999])
     @pytest.mark.parametrize("name", ["X", "Z", "H", "CNOT"])
     def test_matrices_off_by_just_under_and_just_over_the_tolerance(self, name, tol):
-        # a zero entry (an exact one for H) moved by a double either side
-        # of tol: GATE-M's gap is that double exactly
+        # a zero entry moved by a double either side of tol, so that GATE-M's
+        # gap is that double exactly; H, which has no zero, moves 1/sqrt(2)
         g = gates.gate(name)
         for delta in (np.nextafter(tol, 0.0), tol, np.nextafter(tol, 1.0)):
             matrix = g.matrix.copy()

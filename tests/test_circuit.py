@@ -323,7 +323,7 @@ class TestShotEngine:
         for _ in range(6):
             c, oracles = lang.compile_program(lang.parse_source(random_program(rng, 12, 60, terminal=True)))
             assert report_record(fc.run_shots(c, oracles, seed, 20)) == report_record(reference_run_shots(c, oracles, seed, 20))
-            wide += len(gated_prefix_qubits(c)) > state.GATHER_MAX_QUBITS
+            wide += widest_gate_register(c) > state.GATHER_MAX_QUBITS
         assert wide > 0
 
     def test_a_drifted_state_never_reads_its_empty_branch(self, monkeypatch):
@@ -855,7 +855,7 @@ class TestPrefixState:
             for terminal in (False, True):
                 c, _ = lang.compile_program(lang.parse_source(random_program(rng, 12, 80, terminal=terminal)))
                 assert_prefix_state_is_run_circuits(c)
-            wide += len(gated_prefix_qubits(c)) > state.GATHER_MAX_QUBITS
+            wide += widest_gate_register(c) > state.GATHER_MAX_QUBITS  # the terminal one
         assert wide > 0
 
     @pytest.mark.parametrize("seed", range(30))
@@ -1009,13 +1009,18 @@ def terminal_circuit(rng, max_qubits=6):
     return Circuit(program.statements), {decl.name: decl.fn for decl in program.oracle_decls}
 
 
-def gated_prefix_qubits(c):
-    """The qubits allocated before c's first measure, if a gate runs on
-    them after the last of those allocations, else none."""
-    first = next((i for i, op in enumerate(c.ops) if op[0] == "measure"), len(c.ops))
-    allocs = [i for i, ins in enumerate(c.instructions[:first]) if isinstance(ins, Alloc)]
-    gated = any(not isinstance(ins, Alloc) for ins in c.instructions[allocs[-1] + 1 : first]) if allocs else False
-    return allocs if gated else []
+def widest_gate_register(c):
+    """The number of qubits allocated when c's last gate before its first
+    measure runs (0 if no gate runs before it)."""
+    size = widest = 0
+    for ins in c.instructions:
+        if isinstance(ins, Measure):
+            break
+        if isinstance(ins, Alloc):
+            size += 1
+        else:
+            widest = size
+    return widest
 
 
 def midcircuit_circuit(rng, max_qubits=6):
