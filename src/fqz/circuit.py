@@ -36,6 +36,9 @@ from .rng import SplitMix64, shot_seed, uniforms
 # H prepares from |b>, which is |+> or |->.
 KET_VECTORS = {f"|{label}>": gates.ket_vector(label, 1) for label in "01+-"}
 KET_VECTORS["H|0>"], KET_VECTORS["H|1>"] = KET_VECTORS["|+>"], KET_VECTORS["|->"]
+# The register before any allocation: a single amplitude, shared read-only.
+_EMPTY_REGISTER = np.ones(1, dtype=np.complex128)
+_EMPTY_REGISTER.setflags(write=False)
 
 
 class OracleFn(Enum):
@@ -214,7 +217,7 @@ def validate_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn]) -> Circu
             ops.append(_resolve(i, ins, qubits, oracles))
         except TypeError as exc:  # an unhashable name, ket or gate in a hand-built instruction
             raise CircuitError(i, f"malformed instruction {ins!r}: {exc}") from None
-    psi = np.ones(1, dtype=np.complex128)  # empty register: a single amplitude
+    psi = _EMPTY_REGISTER
     for i, op in enumerate(ops):
         if op[0] != "alloc":
             break
@@ -254,7 +257,7 @@ def iter_steps(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) -> 
     """
     circuit = _resolved(circuit, oracles)
     rng = SplitMix64(seed)
-    psi = np.ones(1, dtype=np.complex128)
+    psi = _EMPTY_REGISTER  # never yielded: a valid circuit's first op replaces it
     record = tuple.__new__  # builds a Step in C, without NamedTuple's Python __new__
     for i, (ins, op) in enumerate(zip(circuit.instructions, circuit.ops)):
         kind, measured, pre = op[0], None, None
@@ -393,9 +396,9 @@ def _prefix_state(ops: tuple) -> np.ndarray:
         elif op[0] == "alloc":
             psi = np.multiply.outer(psi, op[1]).reshape(-1)
             order.append(len(order))
-        else:  # apply_gate's operand and np.dot, with the other qubits' columns in `order`'s order
+        else:  # apply_gate's operand and product, with the other qubits' columns in `order`'s order
             shape, axes, _, _, rows, _ = state._cached_layout(tuple(map(order.index, op[2])), len(order))
-            psi = np.dot(op[1].matrix, psi.reshape(shape).transpose(axes).reshape(rows, -1))
+            psi = op[1].matrix.dot(psi.reshape(shape).transpose(axes).reshape(rows, -1))
             order = [*op[2], *[q for q in order if q not in op[2]]]
     return psi.reshape((2,) * len(order)).transpose(np.argsort(order)).reshape(-1)
 

@@ -103,30 +103,30 @@ def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
     significant input (for CNOT, the control).
 
     The state is moved to a (2**arity, rest) matrix, the target qubits
-    first, which the gate multiplies in one np.dot; the product is moved
-    back. _cached_layout's record says how: through its gather index on
-    registers of at most GATHER_MAX_QUBITS qubits, which costs less per
-    call, else by its reshape and transpose of 2*arity + 1 axes.
-    Either way only data moves, so the matrix is the one np.tensordot
-    would hand to the same zgemm over all n axes, and the amplitudes are
-    bit-identical to the contraction route. The state is validated on
-    every call; the targets are checked, and the record built, on the
-    first call for each (targets, register size)."""
+    first, which the gate multiplies in one np.dot (called as matrix.dot,
+    the same C routine without the Python-level dispatch); the product is
+    moved back into a fresh array. _cached_layout's record says how:
+    through its gather index on registers of at most GATHER_MAX_QUBITS
+    qubits, which costs less per call, else by its reshape and transpose
+    of 2*arity + 1 axes. Either way only data moves, so the matrix is the
+    one np.tensordot would hand to the same zgemm over all n axes, and
+    the amplitudes are bit-identical to the contraction route. The state
+    is validated on every call; the targets are checked, and the record
+    built, on the first call for each (targets, register size)."""
     psi = as_state(state)
     n = psi.size.bit_length() - 1
-    targets = tuple(targets)
-    if len(targets) != g.arity:
+    targets, arity, matrix = tuple(targets), g.arity, g.matrix
+    if len(targets) != arity:
         found = tuple(map(int, targets))
-        raise ValueError(f"gate {g.name} has arity {g.arity} but got {len(targets)} target(s) {found}")
+        raise ValueError(f"gate {g.name} has arity {arity} but got {len(targets)} target(s) {found}")
     shape, axes, moved, inverse, rows, index = _cached_layout(targets, n)
-    matrix = g.matrix
     if type(matrix) is not np.ndarray or matrix.dtype is not COMPLEX128:
         matrix = np.asarray(matrix, dtype=COMPLEX128)
     if index is not None:
-        out = np.empty_like(psi)
-        out[index] = np.dot(matrix, psi[index])
+        out = np.empty(psi.size, COMPLEX128)
+        out[index] = matrix.dot(psi[index])
         return out
-    t = np.dot(matrix, psi.reshape(shape).transpose(axes).reshape(rows, -1))
+    t = matrix.dot(psi.reshape(shape).transpose(axes).reshape(rows, -1))
     return t.reshape(moved).transpose(inverse).reshape(-1)
 
 
@@ -146,7 +146,8 @@ def branch_probability(psi: np.ndarray, target: int) -> float:
     """p(1) of a qubit: the pairwise sum, in ascending index order, of the
     squared moduli of branch 1, the strided view (2**target, 2,
     rest)[:, 1, :] of the state. psi must already be a valid state."""
-    return float(np.add.reduce(np.square(np.abs(psi.reshape(2**target, 2, -1)[:, 1, :])).reshape(-1)))
+    mags = np.abs(psi.reshape(1 << target, 2, -1)[:, 1, :])  # a fresh C-ordered array, squared in place
+    return float(np.add.reduce(np.square(mags, out=mags).reshape(-1)))
 
 
 def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
@@ -158,12 +159,13 @@ def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     n = psi.size.bit_length() - 1
     if not 0 <= target < n:
         raise ValueError(f"target qubit {target} out of range for a {n}-qubit register")
-    p_one = branch_probability(psi, target)
+    branches = psi.reshape(1 << target, 2, -1)
+    mags = np.abs(branches[:, 1, :])  # branch_probability on this one reshape
+    p_one = float(np.add.reduce(np.square(mags, out=mags).reshape(-1)))
     bit = 1 if SplitMix64(seed).next_float() < p_one else 0
-    branches = psi.reshape(2**target, 2, -1)
     if bit == 0 and p_one > 0 and not np.count_nonzero(branches[:, 0, :]):
         bit = 1  # a drifted state can leave the sampled branch empty
     prob = p_one if bit == 1 else 1.0 - p_one
-    post = np.zeros(psi.size, dtype=COMPLEX128)  # only branch `bit` is written, divided by sqrt(prob)
-    np.divide(branches[:, bit, :], math.sqrt(prob), out=post.reshape(branches.shape)[:, bit, :])
-    return MeasurementResult(bit, post, prob)
+    post = np.zeros(branches.shape, COMPLEX128)  # only branch `bit` is written, divided by sqrt(prob)
+    np.divide(branches[:, bit, :], math.sqrt(prob), out=post[:, bit, :])
+    return tuple.__new__(MeasurementResult, (bit, post.reshape(-1), prob))  # in C, as iter_steps builds a Step
