@@ -24,6 +24,10 @@ its post-state with np.zeros, math.sqrt and one reshape of the state, and
 tested the empty branch with np.count_nonzero: np.zeros_like, np.sqrt,
 .any() and a branch view built per use. The library must agree with it
 on the bit, the bits of the probability and the bytes of the post-state.
+Its p(1) is reference_branch_probability, state.branch_probability as it
+was before it squared np.abs's output in place, so the reference does not
+follow a change to the library's sum; branch_probability must agree with
+it on the bits of p(1) for every target.
 
 reference_amplitudes_json is cli._amplitudes_json as it was before it
 spelled each distinct part once: one str.format call writes all 2 * 2**n
@@ -58,7 +62,7 @@ from fqz.gates import BasisMapping, Gate, KetExpr, MappingError, colliding_input
 from fqz.lang import _PI_FRACTIONS, SINGLE_QUBIT_GATES, OracleDecl, ParseError, Program, Token, TokenKind, _describe
 from fqz.linalg import DEFAULT_TOL, as_matrix, check_tol, is_unitary
 from fqz.rng import SplitMix64
-from fqz.state import MeasurementResult, branch_probability
+from fqz.state import MeasurementResult
 
 
 def builtin_gates() -> tuple[Gate, ...]:
@@ -114,10 +118,15 @@ def expanded_unitary(g: Gate, targets: Sequence[int], n_qubits: int) -> np.ndarr
     return perm.T @ big @ perm
 
 
+def reference_branch_probability(psi: np.ndarray, target: int) -> float:
+    """branch_probability's p(1) on a valid state and target (see the module docstring)."""
+    return float(np.add.reduce(np.square(np.abs(psi.reshape(2**target, 2, -1)[:, 1, :])).reshape(-1)))
+
+
 def reference_measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     """measure_qubit's result on a valid state and target (see the module docstring)."""
     psi = np.asarray(state, dtype=np.complex128)
-    p_one = branch_probability(psi, target)
+    p_one = reference_branch_probability(psi, target)
     bit = 1 if SplitMix64(seed).next_float() < p_one else 0
     if bit == 0 and p_one > 0 and not psi.reshape(2**target, 2, -1)[:, 0, :].any():
         bit = 1  # a drifted state can leave the sampled branch empty

@@ -143,6 +143,11 @@ class TestRunCircuit:
         report = fc.run_circuit(Circuit(()), {}, 0)
         assert report.measured == ()
         assert report.final_state.size == 1
+        # iter_steps and validate_circuit share one read-only empty register;
+        # what run_circuit hands out for an empty circuit is the caller's own
+        assert report.final_state.flags.writeable and report.final_state is not fc._EMPTY_REGISTER
+        assert list(fc.iter_steps(Circuit(()), {}, 0)) == []
+        assert not fc._EMPTY_REGISTER.flags.writeable and fc._EMPTY_REGISTER.tolist() == [1]
 
     def test_all_six_allocation_kets(self):
         plus, minus = [SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]
@@ -885,6 +890,7 @@ class TestPrefixState:
         c = fc.validate_circuit(Circuit(allocations + [Measure("q0")] * (qubits > 0)), {})
         assert_prefix_state_is_run_circuits(c)
         assert fc._prefix_state(()).tobytes() == np.ones(1, dtype=np.complex128).tobytes()
+        assert fc._prefix_state(()).flags.writeable
 
     def test_a_wide_terminal_run_calls_neither_apply_gate_nor_run_circuit(self, monkeypatch):
         c, oracles = wide_terminal_circuit(random.Random("counted"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brute_force import expanded_unitary, reference_measure_qubit
+from brute_force import expanded_unitary, reference_branch_probability, reference_measure_qubit
 from fqz import gates, state
 from fqz.circuit import OracleFn, oracle_gate
 from fqz.rng import SplitMix64
@@ -389,6 +389,29 @@ class TestMeasureQubit:
             assert r.post_state.tobytes() == post.tobytes()
 
 
+def probability_states(n):
+    """Named 1-D states on n qubits: random of unit norm, norm-drifted by
+    1 +- 1e-6 and 0.9, zeros of both signs beside a few nonzero parts,
+    subnormal parts (and 1e-160, whose square is subnormal), and a strided
+    view that is not contiguous."""
+    rng = np.random.default_rng(100 + n)
+    dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    dense /= np.linalg.norm(dense)
+    signed = rng.choice([0.0, -0.0, 0.5, -0.25], size=2**n) + 1j * rng.choice([0.0, -0.0, 0.5], size=2**n)
+    signed[0] = -0.0 - 0.0j
+    tiny = [0.0, -0.0, 5e-324, -2.5e-310, 1e-160, -1e-160]
+    subnormal = rng.choice(tiny, size=2**n) + 1j * rng.choice(tiny, size=2**n)
+    return {
+        "random": dense,
+        "up": dense * (1 + 1e-6),
+        "down": dense * (1 - 1e-6),
+        "shrunk": dense * 0.9,
+        "signed zeros": signed,
+        "subnormal": subnormal,
+        "strided": np.repeat(dense, 2)[::2],
+    }
+
+
 def mask_measure(psi, target, seed):
     """The boolean-mask route measure_qubit took before it read the
     branches as strided views: gather each branch through an index mask,
@@ -413,22 +436,13 @@ class TestMeasureQubitBitIdentity:
 
     @pytest.mark.parametrize("n", range(1, state.MAX_QUBITS + 1))
     def test_every_target(self, n):
-        rng = np.random.default_rng(100 + n)
-        dense = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        dense /= np.linalg.norm(dense)
-        # zeros of both signs in both parts, beside a few nonzero amplitudes
-        signed = rng.choice([0.0, -0.0, 0.5, -0.25], size=2**n) + 1j * rng.choice([0.0, -0.0, 0.5], size=2**n)
-        signed[0] = -0.0 - 0.0j
-        drifted = dense * (1 + 1e-6)
-        shrunk = dense * 0.9
-        strided = np.repeat(dense, 2)[::2]  # not contiguous in memory
-        for target in range(n):
-            for seed in range(6):
-                for psi in (dense, signed, drifted, shrunk, strided):
+        for name, psi in probability_states(n).items():
+            for target in range(n):
+                for seed in range(6):
                     r = state.measure_qubit(psi, target, seed)
                     bit, prob, post = mask_measure(psi, target, seed)
-                    assert (r.bit, r.probability) == (bit, prob), (target, seed)
-                    assert r.post_state.tobytes() == post.tobytes(), (target, seed)
+                    assert (r.bit, r.probability) == (bit, prob), (name, target, seed)
+                    assert r.post_state.tobytes() == post.tobytes(), (name, target, seed)
 
 
 @st.composite
@@ -477,6 +491,60 @@ class TestMeasureQubitAgainstReference:
             assert r.post_state.tobytes() == expected.post_state.tobytes()
             landed += SplitMix64(seed).next_float() >= r.probability
         assert landed > 0
+
+
+class TestBranchProbabilityAgainstReference:
+    """branch_probability must give the bits of the reference's p(1)."""
+
+    @pytest.mark.parametrize("n", range(1, state.MAX_QUBITS + 1))
+    def test_every_target(self, n):
+        for name, psi in probability_states(n).items():
+            for target in range(n):
+                expected = reference_branch_probability(psi, target)
+                assert state.branch_probability(psi, target).hex() == expected.hex(), (name, target)
+
+
+def assert_fresh(out, psi):
+    """out is a 1-D complex128 array of its own: C-contiguous, writable and
+    sharing no memory with the input psi."""
+    assert type(out) is np.ndarray and out.ndim == 1 and out.dtype == np.complex128
+    assert out.flags.c_contiguous and out.flags.writeable
+    assert not np.shares_memory(out, psi)
+
+
+class TestResultsAreFreshArrays:
+    @pytest.mark.parametrize("n", [1, 2, 4, state.GATHER_MAX_QUBITS, state.GATHER_MAX_QUBITS + 1, state.MAX_QUBITS])
+    def test_apply_gate_on_both_paths(self, n):
+        psi = probability_states(n)["random"]
+        psi.setflags(write=False)  # as the shared states of a resolved circuit are
+        placements = [(gates.hadamard(), (t,)) for t in range(n)] + [(gates.phase_shift(0.3), (n - 1,))]
+        placements += [(oracle_gate("f", OracleFn.NEGATION), (n - 1, 0))] * (n > 1) + [(gates.cnot(), (0, n - 1))] * (n > 1)
+        for g, targets in placements:
+            gathered = state._cached_layout(targets, n)[5] is not None
+            assert gathered == (n <= state.GATHER_MAX_QUBITS)
+            out = state.apply_gate(psi, g, targets)
+            assert_fresh(out, psi)
+            assert out.tobytes() == tensordot_apply(psi, g, targets).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4, state.MAX_QUBITS])
+    def test_measure_qubit(self, n):
+        for psi in probability_states(n).values():
+            for target in range(n):
+                r = state.measure_qubit(psi, target, seed=target)
+                assert_fresh(r.post_state, psi)
+                r.post_state[0] = 7  # writing to it leaves the input alone
+                assert psi[0] != 7
+
+    def test_measurement_result_is_a_named_tuple(self):
+        psi = state.apply_gate(state.basis_state(2, 0), gates.hadamard(), (1,))
+        r = state.measure_qubit(psi, 1, seed=3)
+        assert type(r) is state.MeasurementResult and isinstance(r, tuple) and len(r) == 3
+        assert r._fields == ("bit", "post_state", "probability")
+        assert r == (r.bit, r.post_state, r.probability) == state.MeasurementResult(*r)
+        assert r[0] is r.bit and r[1] is r.post_state and r[2] is r.probability
+        assert repr(r) == f"MeasurementResult(bit={r.bit!r}, post_state={r.post_state!r}, probability={r.probability!r})"
+        bit, post, prob = r
+        assert (bit, prob) == (r.bit, r.probability) and post is r.post_state
 
 
 class TestValidation:
