@@ -16,9 +16,9 @@ runners reuse a resolved circuit under an equal oracle table and
 validate any other first. A terminal program (every measure after the
 last gate) run for 2+ shots runs its gates once, leaving each product in
 np.dot's axis order and transposing once at the end, then splits the
-shots a measure at a time, on compacted states. Any other re-runs every
-step per shot; only shot 0 gets a report, the rest are read off
-iter_steps' bits.
+shots a measure at a time on compacted states, with measure_qubit's p(1)
+and bits. Any other re-runs every step per shot; only shot 0 gets a
+report, the rest are read off iter_steps' bits.
 """
 from __future__ import annotations
 
@@ -404,9 +404,9 @@ def _prefix_state(ops: tuple) -> np.ndarray:
 
 
 def _branch_probabilities(amps: np.ndarray, where: np.ndarray, size: int, target: int) -> np.ndarray:
-    """Each row's p(1) of qubit `target`, bit for bit state.branch_probability
-    at full `size`: the row's squares fill a zeroed row laid out like that
-    function's view, plus a spare column for branch 0, BLOCK_DRAWS floats at a time."""
+    """Each row's p(1) of qubit `target`, bit for bit state.measure_qubit's
+    at full `size`: the row's squares fill a zeroed row laid out like its
+    branch-1 view, plus a spare column for branch 0, BLOCK_DRAWS floats at a time."""
     low, half = size >> (target + 1), size >> 1
     column = np.where(where & low, where - (where // (2 * low) + 1) * low, half)
     chunk = max(1, BLOCK_DRAWS // (half + 1))

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -69,21 +68,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _amplitudes_json(state) -> str:
     """JSON text of [[re, im], ...]: each part rounded to 12 significant
     digits and spelled as json.dumps spells the rounded double (its repr).
-    "{:.12}" spells each distinct part once (by bits: 0.0 and -0.0 differ)
-    and the rows index into those words. For zero and normal doubles far
-    below 1e11 it writes repr's digits and notation, "-0.0" included, so the
-    text stands when every part is zero or normal with |x| <= 1.5 (a unit
-    state's are); else json.dumps re-spells it."""
+    Each distinct part (by bits: 0.0 and -0.0 differ) is spelled once and
+    the rows index into those words. "{:.12}" writes repr's digits and
+    notation, "-0.0" included, for zero and normal doubles far below 1e11,
+    so its words stand when every part is zero or normal with |x| <= 1.5 (a
+    unit state's are); else one json.dumps spells the rounded distinct parts."""
     bits, inverse = np.unique(state.view(np.uint64), return_inverse=True)
     distinct = bits.view(float)
-    words = [None, ", ", None, "], ["] * state.size  # re, ", ", im, "], [" per amplitude
-    words[0::2] = np.array(list(map("{:.12}".format, distinct.tolist())), dtype=object)[inverse].tolist()
-    words[0], words[-1] = "[[" + words[0], "]]"
-    text = "".join(words)
+    spelled = list(map("{:.12}".format, distinct.tolist()))
     mags = abs(distinct)
-    if mags.max() <= 1.5 and not ((mags > 0) & (mags < sys.float_info.min)).any():
-        return text
-    return json.dumps([[float(real), float(imag)] for real, imag in re.findall(r"\[([^,\[]+), ([^\]]+)\]", text)])
+    if not (mags.max() <= 1.5 and not ((mags > 0) & (mags < sys.float_info.min)).any()):  # NaN lands here
+        spelled = json.dumps(list(map(float, spelled)))[1:-1].split(", ")  # a number holds no ", "
+    words = [None, ", ", None, "], ["] * state.size  # re, ", ", im, "], [" per amplitude
+    words[0::2] = np.array(spelled, dtype=object)[inverse].tolist()
+    words[0], words[-1] = "[[" + words[0], "]]"
+    return "".join(words)
 
 
 def _gates_used(program: lang.Program):

@@ -36,7 +36,7 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 from . import circuit
-from .circuit import ORACLE_KEYWORDS, Alloc, Apply, ApplyOracle, Circuit, Measure, OracleFn
+from .circuit import KET_VECTORS, ORACLE_KEYWORDS, Alloc, Apply, ApplyOracle, Circuit, Instruction, Measure, OracleFn
 
 
 class TokenKind(Enum):
@@ -87,10 +87,10 @@ class CompileError(ValueError):
 
 
 KEYWORDS = {"qubit", "oracle", "measure", *ORACLE_KEYWORDS}
-GATE_NAMES = {"I", "X", "Z", "H", "R", "N"}
 SINGLE_QUBIT_GATES = ("I", "X", "Z", "H")
+GATE_NAMES = {*SINGLE_QUBIT_GATES, "R", "N"}
 
-_KET = r"H\|[01]>|\|[01+-]>"
+_KET = "|".join(map(re.escape, KET_VECTORS))
 _NUMBER = r"pi(?![A-Za-z0-9_])(?:/[24])?|-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _WORD = r"[A-Za-z_][A-Za-z0-9_]*"
 
@@ -120,7 +120,7 @@ _LINE_RE = re.compile(
 _WORD_KINDS = {**dict.fromkeys(KEYWORDS, TokenKind.KEYWORD), **dict.fromkeys(GATE_NAMES, TokenKind.GATE)}
 _NOT_NAMES = {*_WORD_KINDS, "pi"}  # the words that lex as no IDENT
 _PLAIN_KINDS = {kind.name: kind for kind in TokenKind if kind.name not in ("NEWLINE", "EOF")}
-_KET_ERROR = "expected one of the ket literals |0>, |1>, |+>, |->, H|0>, H|1>"
+_KET_ERROR = f"expected one of the ket literals {', '.join(KET_VECTORS)}"
 
 
 def tokenize(source: str) -> list[Token]:
@@ -164,13 +164,12 @@ class OracleDecl(NamedTuple):
     __eq__, __ne__, __hash__ = circuit._compared(-2)
 
 
-Stmt = circuit.Instruction
 AllocStmt, ApplyStmt, OracleApplyStmt, MeasureStmt = Alloc, Apply, ApplyOracle, Measure
 
 
 class Program(NamedTuple):
     oracle_decls: tuple[OracleDecl, ...]
-    statements: tuple[Stmt, ...]
+    statements: tuple[Instruction, ...]
 
 
 class _Scope(NamedTuple):
@@ -305,7 +304,7 @@ def format_angle(value: float) -> str:
     return text
 
 
-def _statement_text(stmt: Stmt) -> str:
+def _statement_text(stmt: Instruction) -> str:
     if isinstance(stmt, Alloc):
         return f"qubit {stmt.name} = {stmt.ket}"
     if isinstance(stmt, Apply):

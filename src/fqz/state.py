@@ -11,9 +11,9 @@ says, and moves the product back to qubit order; the tests hold it
 against a brute-force reference that builds the full 2**n x 2**n matrix.
 circuit's terminal-program prefix reads the same records by the axis each
 qubit sits on, keeps each product's axis order and transposes once.
-measure_qubit reads a qubit's two branches as strided views:
-branch_probability sums one, a splitmix64 draw picks one, and only that
-one is kept; circuit.run_shots reproduces its bytes.
+measure_qubit, the one definition of p(1), sums branch 1 of a strided
+view, a splitmix64 draw picks a branch, and only that one is kept;
+circuit.run_shots reproduces its bytes.
 """
 from __future__ import annotations
 
@@ -142,25 +142,19 @@ class MeasurementResult(NamedTuple):
     probability: float
 
 
-def branch_probability(psi: np.ndarray, target: int) -> float:
-    """p(1) of a qubit: the pairwise sum, in ascending index order, of the
-    squared moduli of branch 1, the strided view (2**target, 2,
-    rest)[:, 1, :] of the state. psi must already be a valid state."""
-    mags = np.abs(psi.reshape(1 << target, 2, -1)[:, 1, :])  # a fresh C-ordered array, squared in place
-    return float(np.add.reduce(np.square(mags, out=mags).reshape(-1)))
-
-
 def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     """Measure one qubit in the computational basis: bit 1 iff a draw of
-    SplitMix64(seed) is below branch_probability, so (state, target, seed)
-    fixes the result. A branch with no amplitude is never selected, even
-    on a state whose norm has drifted. The input state is not mutated."""
+    SplitMix64(seed) is below p(1), the pairwise sum of the squared moduli
+    of branch 1, the view (2**target, 2, rest)[:, 1, :], in index order.
+    If p(1) > 0 and branch 0 is all zero (a drifted norm), bit 1 is read;
+    if p(1) is 0, bit 0 is read with probability 1.0, all-zero states
+    included. The input state is not mutated."""
     psi = as_state(state)
     n = psi.size.bit_length() - 1
     if not 0 <= target < n:
         raise ValueError(f"target qubit {target} out of range for a {n}-qubit register")
     branches = psi.reshape(1 << target, 2, -1)
-    mags = np.abs(branches[:, 1, :])  # branch_probability on this one reshape
+    mags = np.abs(branches[:, 1, :])  # a fresh C-ordered array, squared in place
     p_one = float(np.add.reduce(np.square(mags, out=mags).reshape(-1)))
     bit = 1 if SplitMix64(seed).next_float() < p_one else 0
     if bit == 0 and p_one > 0 and not np.count_nonzero(branches[:, 0, :]):

@@ -24,15 +24,17 @@ its post-state with np.zeros, math.sqrt and one reshape of the state, and
 tested the empty branch with np.count_nonzero: np.zeros_like, np.sqrt,
 .any() and a branch view built per use. The library must agree with it
 on the bit, the bits of the probability and the bytes of the post-state.
-Its p(1) is reference_branch_probability, state.branch_probability as it
-was before it squared np.abs's output in place, so the reference does not
-follow a change to the library's sum; branch_probability must agree with
-it on the bits of p(1) for every target.
+Its p(1) is reference_branch_probability, measure_qubit's sum as it was
+before it squared np.abs's output in place, so the reference does not
+follow a change to the library's sum; measure_qubit's probability must
+carry the bits of that p(1) (of 1 - p(1) on bit 0) for every target, and
+so must the trie's padded rows in circuit._branch_probabilities.
 
 reference_amplitudes_json is cli._amplitudes_json as it was before it
 spelled each distinct part once: one str.format call writes all 2 * 2**n
-parts, and the common-path test reads every part. The library must agree
-with it byte for byte on every state.
+parts, the common-path test reads every part, and the rare path reads the
+rounded doubles back from that text for json.dumps. The library must
+agree with it byte for byte on every state.
 
 conjugate_transpose and is_hermitian are the adjoint and the Hermitian
 test the checker's OBS-2 rule computes inline; approx_equal is the
@@ -119,7 +121,7 @@ def expanded_unitary(g: Gate, targets: Sequence[int], n_qubits: int) -> np.ndarr
 
 
 def reference_branch_probability(psi: np.ndarray, target: int) -> float:
-    """branch_probability's p(1) on a valid state and target (see the module docstring)."""
+    """measure_qubit's p(1) on a valid state and target (see the module docstring)."""
     return float(np.add.reduce(np.square(np.abs(psi.reshape(2**target, 2, -1)[:, 1, :])).reshape(-1)))
 
 

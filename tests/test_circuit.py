@@ -19,7 +19,7 @@ from fqz.circuit import (
     OracleFn,
     Verdict,
 )
-from brute_force import reference_measure_qubit
+from brute_force import reference_branch_probability, reference_measure_qubit
 from fqz.rng import SplitMix64, shot_seed
 from fuzz_programs import deutsch_source, random_program
 
@@ -807,8 +807,9 @@ def awkward_states(draw):
 
 class TestCompactedNodes:
     """A trie node keeps only the amplitudes its bits leave live. Its p(1)
-    must be state.branch_probability of the full-size state, and its live
-    amplitudes, scattered back, the bytes of the full-size collapse."""
+    must be measure_qubit's p(1) of the full-size state (the reference's
+    sum), and its live amplitudes, scattered back, the bytes of the
+    full-size collapse."""
 
     @settings(max_examples=300, deadline=None)
     @given(awkward_states(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 1)), min_size=1, max_size=14))
@@ -820,7 +821,7 @@ class TestCompactedNodes:
             where = np.flatnonzero([all((i >> (n - 1 - q)) & 1 == b for q, b in seen) for i in range(psi.size)])
             p_one = fc._branch_probabilities(full[where][None, :], where[None, :], psi.size, t)
             p = float(p_one[0])
-            assert p.hex() == state.branch_probability(full, t).hex()
+            assert p.hex() == reference_branch_probability(full, t).hex()
             if not (p if bit else 1.0 - p) > 0:  # a branch of no mass is never read
                 bit = 1 - bit
             full = collapse(full, t, bit, p if bit else 1.0 - p)
@@ -836,6 +837,21 @@ class TestCompactedNodes:
         c = Circuit(c.instructions, (*c.ops[: n - 1], ("state", psi), *c.ops[n:]), {})
         expected = report_record(reference_run_shots(c, {}, root, 12))
         assert report_record(fc._trie_shots(c, n, root, 12)) == expected
+
+    def test_a_node_zeroed_by_overflow_is_measured_again_at_its_width(self):
+        # b = 0 leaves a's branch 1 at 1e200 / sqrt(0.39), whose square
+        # overflows: p(1) = inf reads a = 1 and divides the node to zero,
+        # so the repeated `measure a` reads a = 0 off a node whose one live
+        # column sits in branch 1. The b = 1 nodes read a again as before,
+        # so the level's rows keep one width only if the ruled-out branch
+        # is zeroed in place rather than split off.
+        c = fc.validate_circuit(Circuit([Alloc("a", "|0>"), Alloc("b", "|0>"), Measure("b"), Measure("a"), Measure("a")]), {})
+        c = Circuit(c.instructions, (c.ops[0], ("state", np.array([0.6, 0.5, 1e200, 0.6], dtype=complex)), *c.ops[2:]), {})
+        with np.errstate(over="ignore"):
+            for root in range(20):
+                report = fc._trie_shots(c, 2, root, 200)
+                assert report_record(report) == report_record(reference_run_shots(c, {}, root, 200)), root
+                assert report.shots["010"] > 0, root
 
 
 class TestPrefixState:

@@ -253,7 +253,6 @@ class TestCompile:
         assert lang.ApplyStmt is fc.Apply
         assert lang.OracleApplyStmt is fc.ApplyOracle
         assert lang.MeasureStmt is fc.Measure
-        assert lang.Stmt is fc.Instruction
 
     def test_positions_are_ignored_by_equality_and_hashing(self):
         pairs = [

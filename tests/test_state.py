@@ -493,15 +493,31 @@ class TestMeasureQubitAgainstReference:
         assert landed > 0
 
 
-class TestBranchProbabilityAgainstReference:
-    """branch_probability must give the bits of the reference's p(1)."""
+def _first_seed(accept):
+    return next(seed for seed in itertools.count() if accept(SplitMix64(seed).next_float()))
+
+
+# Beside a few ordinary seeds, one whose draw is below 1e-3 and one whose
+# draw is above 1 - 1e-3: every p(1) >= 1e-3 reads bit 1 at least once,
+# and every 1 - p(1) >= 1e-3 reads bit 0 unless branch 0 is empty.
+MEASURE_SEEDS = (_first_seed(lambda u: u < 1e-3), _first_seed(lambda u: u > 1 - 1e-3), *range(6))
+
+
+class TestMeasuredProbabilityAgainstReference:
+    """measure_qubit's probability must carry the bits of the reference's
+    p(1) when it reads bit 1 and of 1 - p(1) when it reads bit 0."""
 
     @pytest.mark.parametrize("n", range(1, state.MAX_QUBITS + 1))
     def test_every_target(self, n):
         for name, psi in probability_states(n).items():
             for target in range(n):
-                expected = reference_branch_probability(psi, target)
-                assert state.branch_probability(psi, target).hex() == expected.hex(), (name, target)
+                p_one, read = reference_branch_probability(psi, target), set()
+                for seed in MEASURE_SEEDS:
+                    r = state.measure_qubit(psi, target, seed)
+                    assert r.probability.hex() == (p_one if r.bit else 1.0 - p_one).hex(), (name, target, seed)
+                    read.add(r.bit)
+                assert p_one < 1e-3 or 1 in read, (name, target)
+                assert 1.0 - p_one < 1e-3 or 0 in read or not psi.reshape(2**target, 2, -1)[:, 0, :].any(), (name, target)
 
 
 def assert_fresh(out, psi):
