@@ -14,11 +14,11 @@ circuit before any instruction runs (lang.compile_program and the
 checker's PROG-SCOPE rule defer to it) and returns it resolved. The
 runners reuse a resolved circuit under an equal oracle table and
 validate any other first. A terminal program (every measure after the
-last gate) run for 2+ shots runs its gates once, leaving each product in
-np.dot's axis order and transposing once at the end, then splits the
-shots a measure at a time on compacted states, with measure_qubit's p(1)
-and bits. Any other re-runs every step per shot; only shot 0 gets a
-report, the rest are read off iter_steps' bits.
+last gate) run for 2+ shots runs its gates once, keeping np.dot's axis
+order until one transpose at the end, then splits the shots a measure at
+a time on compacted states, with measure_qubit's p(1), bits and
+ValueError on a p(1) that overflows to inf. Any other re-runs every step
+per shot; only shot 0 gets a report, the rest are read off iter_steps' bits.
 """
 from __future__ import annotations
 
@@ -194,9 +194,7 @@ def _resolve(i: int, ins: Instruction, qubits: dict[str, int], oracles: Mapping[
         g = oracle_gate(ins.oracle, fn)
         return "gate", g, _check_operands(i, f"oracle N[{ins.oracle}]", 2, (ins.control, ins.register), qubits)
     if isinstance(ins, Measure):
-        if ins.name not in qubits:
-            raise CircuitError(i, f"undeclared qubit {ins.name!r}")
-        return "measure", qubits[ins.name]
+        return "measure", _check_operands(i, "measure", 1, (ins.name,), qubits)[0]
     raise CircuitError(i, f"unknown instruction {ins!r}")
 
 
@@ -241,9 +239,7 @@ class Step(NamedTuple):
     index: int
     instruction: Instruction
     state: np.ndarray
-    # set for Measure instructions only
-    measured: tuple[str, int, float] | None = None
-    pre_measure_state: np.ndarray | None = None
+    measured: tuple[str, int, float] | None = None  # set for Measure instructions only
 
 
 def iter_steps(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) -> Iterator[Step]:
@@ -260,18 +256,17 @@ def iter_steps(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) -> 
     psi = _EMPTY_REGISTER  # never yielded: a valid circuit's first op replaces it
     record = tuple.__new__  # builds a Step in C, without NamedTuple's Python __new__
     for i, (ins, op) in enumerate(zip(circuit.instructions, circuit.ops)):
-        kind, measured, pre = op[0], None, None
+        kind, measured = op[0], None
         if kind == "gate":
             psi = state.apply_gate(psi, op[1], op[2])
         elif kind == "measure":
-            pre = psi
-            bit, psi, probability = state.measure_qubit(pre, op[1], rng.next_u64())
+            bit, psi, probability = state.measure_qubit(psi, op[1], rng.next_u64())
             measured = (ins.name, bit, probability)
         elif kind == "state":
             psi = op[1]
         else:
             psi = np.multiply.outer(psi, op[1]).reshape(-1)
-        yield record(Step, (i, ins, psi, measured, pre))
+        yield record(Step, (i, ins, psi, measured))
 
 
 class RunReport(NamedTuple):
@@ -307,10 +302,10 @@ def run_circuit(circuit: Circuit, oracles: Mapping[str, OracleFn], seed: int) ->
     measured: list[tuple[str, int, float]] = []
     pres: list[np.ndarray] = []
     for step in iter_steps(circuit, oracles, seed):
-        psi = step.state
-        if step.measured is not None:
+        if step.measured is not None:  # psi is still the state the measure consumed
             measured.append(step.measured)
-            pres.append(step.pre_measure_state)
+            pres.append(psi)
+        psi = step.state
     return RunReport(psi, tuple(measured), tuple(pres))
 
 
@@ -359,6 +354,8 @@ def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int
         for k, t in enumerate(targets):
             one = (where & psi.size >> (t + 1)) != 0  # the live columns in branch 1 of qubit t
             p_one = _branch_probabilities(amps, where, psi.size, t)
+            if np.isinf(p_one).any():
+                raise ValueError(f"p(1) of qubit {t} overflows to inf")
             empty = (p_one > 0) & np.logical_and.reduce(one | (amps == 0), axis=1)  # measure_qubit's empty-branch rule
             u[:, k] = ones = (u[:, k] < p_one[node]) | empty[node]
             key = 2 * node + ones
@@ -366,12 +363,9 @@ def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int
             node = (present.cumsum() - 1)[key]
             parent, bit = np.divmod(present.nonzero()[0], 2)
             prob = np.where(bit, p_one[parent], 1.0 - p_one[parent])
-            keep = one[parent] == bit[:, None]
-            if t in targets[:k]:  # no split: the other branch reads +0.0, as it does at full size
-                amps, where = np.where(keep, amps[parent] / np.sqrt(prob)[:, None], 0), where[parent]
-            else:
-                amps = amps[parent][keep].reshape(len(parent), -1) / np.sqrt(prob)[:, None]
-                where = where[parent][keep].reshape(len(parent), -1)
+            keep = one[parent] == bit[:, None]  # all of a row whose qubit t was read before: rows keep one width
+            amps = amps[parent][keep].reshape(len(parent), -1) / np.sqrt(prob)[:, None]
+            where = where[parent][keep].reshape(len(parent), -1)
             if start == 0:
                 path.append(np.zeros(psi.size, dtype=np.complex128))
                 path[-1][where[node[0]]] = amps[node[0]]

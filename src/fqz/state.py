@@ -145,10 +145,10 @@ class MeasurementResult(NamedTuple):
 def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     """Measure one qubit in the computational basis: bit 1 iff a draw of
     SplitMix64(seed) is below p(1), the pairwise sum of the squared moduli
-    of branch 1, the view (2**target, 2, rest)[:, 1, :], in index order.
-    If p(1) > 0 and branch 0 is all zero (a drifted norm), bit 1 is read;
-    if p(1) is 0, bit 0 is read with probability 1.0, all-zero states
-    included. The input state is not mutated."""
+    of branch 1, the view (2**target, 2, rest)[:, 1, :], in index order; a
+    p(1) overflowing to inf raises ValueError. If branch 0 is all zero and
+    p(1) > 0 (a drifted norm), bit 1 is read; if p(1) is 0, bit 0 is read
+    with probability 1.0, all-zero states included. The input is not mutated."""
     psi = as_state(state)
     n = psi.size.bit_length() - 1
     if not 0 <= target < n:
@@ -156,6 +156,8 @@ def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     branches = psi.reshape(1 << target, 2, -1)
     mags = np.abs(branches[:, 1, :])  # a fresh C-ordered array, squared in place
     p_one = float(np.add.reduce(np.square(mags, out=mags).reshape(-1)))
+    if p_one == math.inf:
+        raise ValueError(f"p(1) of qubit {target} overflows to inf")
     bit = 1 if SplitMix64(seed).next_float() < p_one else 0
     if bit == 0 and p_one > 0 and not np.count_nonzero(branches[:, 0, :]):
         bit = 1  # a drifted state can leave the sampled branch empty

@@ -166,6 +166,22 @@ class TestRunCircuit:
         assert abs(np.linalg.norm(report.final_state) - 1.0) <= 1e-9
         assert report.measured[0][0] == "x"
 
+    def test_pre_measure_states_are_the_states_iter_steps_measures(self):
+        # run_circuit keeps, for each Measure, the state of the step before it
+        rng = random.Random("pre-measure")
+        measures = 0
+        for _ in range(50):
+            c, oracles = lang.compile_program(lang.parse_source(random_program(rng)))
+            seed = rng.randrange(2**64)
+            before, psi = [], None
+            for step in fc.iter_steps(c, oracles, seed):
+                if step.measured is not None:
+                    before.append(psi.tobytes())
+                psi = step.state
+            assert [pre.tobytes() for pre in fc.run_circuit(c, oracles, seed).pre_measure_states] == before
+            measures += len(before)
+        assert measures > 0
+
     def test_determinism_for_fixed_seed(self):
         c = Circuit((Alloc("x", "H|0>"), Alloc("y", "H|1>"), Measure("x"), Measure("y")))
         a = fc.run_circuit(c, {}, seed=77)
@@ -193,6 +209,7 @@ class TestRunCircuit:
             assert abs(np.linalg.norm(step.state) - 1.0) <= 1e-9
 
     def test_step_fields_cannot_be_assigned(self):
+        assert fc.Step._fields == ("index", "instruction", "state", "measured")
         c = Circuit((Alloc("x", "H|0>"), Measure("x")))
         for step in fc.iter_steps(c, {}, 5):
             for field in fc.Step._fields:
@@ -838,20 +855,33 @@ class TestCompactedNodes:
         expected = report_record(reference_run_shots(c, {}, root, 12))
         assert report_record(fc._trie_shots(c, n, root, 12)) == expected
 
-    def test_a_node_zeroed_by_overflow_is_measured_again_at_its_width(self):
+    def test_an_overflowing_p1_raises_in_both_engines(self):
         # b = 0 leaves a's branch 1 at 1e200 / sqrt(0.39), whose square
-        # overflows: p(1) = inf reads a = 1 and divides the node to zero,
-        # so the repeated `measure a` reads a = 0 off a node whose one live
-        # column sits in branch 1. The b = 1 nodes read a again as before,
-        # so the level's rows keep one width only if the ruled-out branch
-        # is zeroed in place rather than split off.
+        # overflows: p(1) of qubit a (index 0) is inf, which measure_qubit
+        # and the trie both refuse with one message, rather than reading
+        # a = 1 with probability inf and dividing the node to zero
+        message = "p(1) of qubit 0 overflows to inf"
+
+        def refusal(run, *args):
+            try:
+                return run(*args)
+            except ValueError as exc:
+                return str(exc)
+
         c = fc.validate_circuit(Circuit([Alloc("a", "|0>"), Alloc("b", "|0>"), Measure("b"), Measure("a"), Measure("a")]), {})
         c = Circuit(c.instructions, (c.ops[0], ("state", np.array([0.6, 0.5, 1e200, 0.6], dtype=complex)), *c.ops[2:]), {})
+        raised = 0
         with np.errstate(over="ignore"):
+            assert refusal(state.measure_qubit, np.array([0.6, 1e200]), 0, 5) == message
             for root in range(20):
-                report = fc._trie_shots(c, 2, root, 200)
-                assert report_record(report) == report_record(reference_run_shots(c, {}, root, 200)), root
-                assert report.shots["010"] > 0, root
+                assert refusal(fc._trie_shots, c, 2, root, 200) == message, root
+                assert refusal(fc.run_shots, c, {}, root, 200) == message, root
+                report = refusal(fc.run_circuit, c, {}, root)
+                if report == message:
+                    raised += 1
+                else:
+                    assert report.outcome[0] == "1", root  # b = 1 leaves a's p(1) finite
+        assert raised > 0
 
 
 class TestPrefixState:
