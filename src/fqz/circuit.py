@@ -16,9 +16,11 @@ runners reuse a resolved circuit under an equal oracle table and
 validate any other first. A terminal program (every measure after the
 last gate) run for 2+ shots runs its gates once, keeping np.dot's axis
 order until one transpose at the end, then splits the shots a measure at
-a time on compacted states, with measure_qubit's p(1), bits and
-ValueError on a p(1) that overflows to inf. Any other re-runs every step
-per shot; only shot 0 gets a report, the rest are read off iter_steps' bits.
+a time on trie nodes shaped by the qubits they have not measured, with
+measure_qubit's p(1) (summed over zero-padded rows of a buffer reused
+within each block of shots), bits and ValueError on a p(1) that overflows
+to inf. Any other re-runs every step per shot; only shot 0 gets a report,
+the rest are read off iter_steps' bits.
 """
 from __future__ import annotations
 
@@ -340,8 +342,12 @@ def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int
     """run_shots of a resolved terminal circuit, with the shot loop's bits
     and bytes: the gates run once, then each block of shots walks the trie
     of outcomes one measure at a time, in numpy calls per level, not per
-    node. A level's rows hold the amplitudes its nodes' bits leave live, at
-    basis indices `where`; `node` maps each shot to its row."""
+    node. A row holds its node's amplitudes over the qubits `free` it has
+    not measured, in qubit order, so branch b of qubit t is a view; its
+    measured bits sit in its basis `offset`, and the level's `grid` holds
+    each column's basis index over `free`. A qubit measured again puts each
+    row back into the branch its bit names, beside zeros. `node` maps each
+    shot to its row; `padded`, one per block, is _branch_probabilities' buffer."""
     psi = _prefix_state(circuit.ops[:first_measure])
     targets = [op[1] for op in circuit.ops[first_measure:]]
     if not targets:  # every shot reads the empty outcome: no draws, O(1) in shots
@@ -350,25 +356,32 @@ def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int
     block = max(1, BLOCK_DRAWS // len(targets))
     for start in range(0, shots, block):
         u = uniforms(root_seed, start, min(block, shots - start), len(targets))  # column k turns into measure k's bits
-        amps, where, node = psi[None, :], np.arange(psi.size)[None, :], np.zeros(len(u), dtype=np.intp)
+        padded = np.zeros((min(max(1, BLOCK_DRAWS // (psi.size >> 1)), len(u)), psi.size >> 1))
+        amps, offset, grid, node = psi[None, :], np.zeros(1, dtype=np.intp), np.arange(psi.size), np.zeros(len(u), dtype=np.intp)
+        free = list(range(psi.size.bit_length() - 1))
         for k, t in enumerate(targets):
-            one = (where & psi.size >> (t + 1)) != 0  # the live columns in branch 1 of qubit t
-            p_one = _branch_probabilities(amps, where, psi.size, t)
+            low, j = psi.size >> (t + 1), sum(q < t for q in free)  # qubit t's place value; free qubits before it
+            if t not in free:  # read before: each row goes back into the branch its bit names, beside zeros
+                bits, grid = (offset & low) // low, grid.reshape(2**j, 1, -1) + np.array([[0], [low]])
+                amps = np.where((bits[:, None] == [0, 1])[:, None, :, None], amps.reshape(len(amps), 2**j, 1, -1), 0)
+                offset, free = offset - bits * low, sorted([*free, t])
+            a4, g4 = amps.reshape(len(amps), 2**j, 2, -1), grid.reshape(2**j, 2, -1)
+            p_one = _branch_probabilities(padded, a4[:, :, 1, :], offset, g4[:, 1, :], low)
             if np.isinf(p_one).any():
                 raise ValueError(f"p(1) of qubit {t} overflows to inf")
-            empty = (p_one > 0) & np.logical_and.reduce(one | (amps == 0), axis=1)  # measure_qubit's empty-branch rule
+            empty = (p_one > 0) & ~np.logical_or.reduce(a4[:, :, 0, :], axis=(1, 2))  # measure_qubit's empty-branch rule
             u[:, k] = ones = (u[:, k] < p_one[node]) | empty[node]
             key = 2 * node + ones
             present = np.bincount(key, minlength=2 * len(amps)) > 0  # which (node, bit) children have shots
             node = (present.cumsum() - 1)[key]
             parent, bit = np.divmod(present.nonzero()[0], 2)
             prob = np.where(bit, p_one[parent], 1.0 - p_one[parent])
-            keep = one[parent] == bit[:, None]  # all of a row whose qubit t was read before: rows keep one width
-            amps = amps[parent][keep].reshape(len(parent), -1) / np.sqrt(prob)[:, None]
-            where = where[parent][keep].reshape(len(parent), -1)
+            amps = (a4[parent, :, bit, :] / np.sqrt(prob)[:, None, None]).reshape(len(parent), -1)
+            offset, grid = offset[parent] + bit * low, g4[:, 0, :].reshape(-1)
+            free.remove(t)
             if start == 0:
                 path.append(np.zeros(psi.size, dtype=np.complex128))
-                path[-1][where[node[0]]] = amps[node[0]]
+                path[-1][offset[node[0]] + grid] = amps[node[0]]
                 measured.append((circuit.instructions[first_measure + k].name, int(bit[node[0]]), float(prob[node[0]])))
         first = np.full(len(amps), len(u))
         np.minimum.at(first, node, np.arange(len(u)))
@@ -397,18 +410,20 @@ def _prefix_state(ops: tuple) -> np.ndarray:
     return psi.reshape((2,) * len(order)).transpose(np.argsort(order)).reshape(-1)
 
 
-def _branch_probabilities(amps: np.ndarray, where: np.ndarray, size: int, target: int) -> np.ndarray:
-    """Each row's p(1) of qubit `target`, bit for bit state.measure_qubit's
-    at full `size`: the row's squares fill a zeroed row laid out like its
-    branch-1 view, plus a spare column for branch 0, BLOCK_DRAWS floats at a time."""
-    low, half = size >> (target + 1), size >> 1
-    column = np.where(where & low, where - (where // (2 * low) + 1) * low, half)
-    chunk = max(1, BLOCK_DRAWS // (half + 1))
-    p_one = np.empty(len(amps))
-    for i in range(0, len(amps), chunk):
-        rows = np.zeros((len(amps[i : i + chunk]), half + 1))
-        rows[np.arange(len(rows))[:, None], column[i : i + chunk]] = np.square(np.abs(amps[i : i + chunk]))
-        p_one[i : i + chunk] = np.add.reduce(rows[:, :half], axis=1)
+def _branch_probabilities(padded: np.ndarray, ones: np.ndarray, offset: np.ndarray, columns: np.ndarray, low: int) -> np.ndarray:
+    """Each node's p(1) of the qubit of place value `low`, bit for bit
+    state.measure_qubit's at full size: node r's branch-1 amplitudes ones[r]
+    sit at basis indices offset[r] + columns, and their squares fill a
+    full-size branch-1 row of the zeroed buffer `padded` for np.add.reduce,
+    as many rows at a time as it holds; zeros put back leave it zeroed."""
+    squares, at = np.square(np.abs(ones)).reshape(len(ones), -1), np.add.outer(offset, columns).reshape(len(ones), -1)
+    at = (at >> 1) & -low | at & (low - 1)  # each index's place in the branch-1 view: bit `low` taken out
+    flat, (chunk, half), p_one = padded.reshape(-1), padded.shape, np.empty(len(ones))
+    for i in range(0, len(ones), chunk):
+        place = at[i : i + chunk] + half * np.arange(len(at[i : i + chunk]))[:, None]
+        flat[place] = squares[i : i + chunk]
+        p_one[i : i + chunk] = np.add.reduce(padded[: len(place)], axis=1)
+        flat[place] = 0.0
     return p_one
 
 

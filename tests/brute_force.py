@@ -28,7 +28,9 @@ Its p(1) is reference_branch_probability, measure_qubit's sum as it was
 before it squared np.abs's output in place, so the reference does not
 follow a change to the library's sum; measure_qubit's probability must
 carry the bits of that p(1) (of 1 - p(1) on bit 0) for every target, and
-so must the trie's padded rows in circuit._branch_probabilities.
+so must circuit._branch_probabilities, which sums a trie node's branch-1
+squares placed by basis offset and free-column grid in a zero-padded
+full-size row.
 
 reference_amplitudes_json is cli._amplitudes_json as it was before it
 spelled each distinct part once: one str.format call writes all 2 * 2**n

@@ -377,6 +377,30 @@ class TestShotEngine:
             monkeypatch.setattr(fc, "BLOCK_DRAWS", block)
             assert report_record(fc.run_shots(c, oracles, 7, shots)) == expected, block
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_signed_zeros_survive_repeated_measures(self, seed, monkeypatch):
+        # R(pi) then H leaves q0's branch 0 at +0.0 real and positive
+        # imaginary parts; each |-> or H|1> allocated after them multiplies
+        # some by -1/sqrt(2), to -0.0 real beside negative imaginary, which
+        # every child, re-measured or not, must carry as the full-size
+        # collapse does. q0, measured last, reads 1 and drops them.
+        rng = random.Random(f"signed zeros:{seed}")
+        names = [f"q{i}" for i in range(rng.randint(2, 5))]
+        lines = [f"qubit q0 = {rng.choice(['|+>', '|->', 'H|0>', 'H|1>'])}"]
+        lines += [f"{g} q0" for g in rng.choice([["R(pi)"], ["Z", "R(pi)"], ["R(pi)", "Z"]])] + ["H q0"]
+        lines += [f"qubit {q} = {rng.choice(['|->', 'H|1>'])}" for q in names[1:]]
+        measures = [f"measure {q}" for q in names[1:] for _ in range(rng.randint(2, 3))]
+        rng.shuffle(measures)
+        measures += ["measure q0"] * rng.randint(2, 3)
+        c, oracles = lang.compile_program(lang.parse_source("".join(f"{line}\n" for line in lines + measures)))
+        psi = fc._prefix_state(c.ops[: len(lines)])
+        assert (np.signbit(psi.real) & (psi.real == 0) & (psi.imag < 0)).any()
+        for root in self.ROOTS:
+            expected = report_record(reference_run_shots(c, oracles, root, 200))
+            for block in self.BLOCKS:
+                monkeypatch.setattr(fc, "BLOCK_DRAWS", block)
+                assert report_record(fc._trie_shots(c, len(lines), root, 200)) == expected, (root, block)
+
     def test_a_program_without_measure_tallies_any_shot_count_at_once(self):
         # no draws, so no block of shots is walked: 10**18 shots cost what one does
         c, oracles = lang.compile_program(lang.parse_source(self.SOURCES["no measure"]))
@@ -823,27 +847,35 @@ def awkward_states(draw):
 
 
 class TestCompactedNodes:
-    """A trie node keeps only the amplitudes its bits leave live. Its p(1)
-    must be measure_qubit's p(1) of the full-size state (the reference's
-    sum), and its live amplitudes, scattered back, the bytes of the
-    full-size collapse."""
+    """A trie node holds its amplitudes over the qubits it has not measured,
+    its measured bits in one basis offset. Its p(1) must be measure_qubit's
+    p(1) of the full-size state (the reference's sum), and its amplitudes,
+    scattered back, the bytes of the full-size collapse."""
 
     @settings(max_examples=300, deadline=None)
     @given(awkward_states(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 1)), min_size=1, max_size=14))
     def test_padded_row_sum_is_the_full_size_branch_probability(self, psi, reads):
         n = psi.size.bit_length() - 1
-        full, seen = psi, set()
+        full, measured = psi, {}  # qubit -> the bit its last read left
         for t, bit in reads:
             t %= n
-            where = np.flatnonzero([all((i >> (n - 1 - q)) & 1 == b for q, b in seen) for i in range(psi.size)])
-            p_one = fc._branch_probabilities(full[where][None, :], where[None, :], psi.size, t)
+            # the engine's row: a re-read qubit goes back among the free ones,
+            # its row in the branch its bit names and zeros in the other
+            free = [q for q in range(n) if q not in measured or q == t]
+            offset = sum(b << (n - 1 - q) for q, b in measured.items() if q != t)
+            grid = np.zeros(1, dtype=np.intp)
+            for q in free:
+                grid = (grid[:, None] + [0, 1 << (n - 1 - q)]).reshape(-1)
+            j, padded = free.index(t), np.zeros((1, psi.size >> 1))
+            ones = full[offset + grid].reshape(1, 2**j, 2, -1)[:, :, 1, :]
+            p_one = fc._branch_probabilities(padded, ones, np.array([offset]), grid.reshape(2**j, 2, -1)[:, 1, :], psi.size >> (t + 1))
             p = float(p_one[0])
             assert p.hex() == reference_branch_probability(full, t).hex()
+            assert not padded.any()
             if not (p if bit else 1.0 - p) > 0:  # a branch of no mass is never read
                 bit = 1 - bit
             full = collapse(full, t, bit, p if bit else 1.0 - p)
-            if (t, 1 - bit) not in seen:  # reading a ruled-out branch leaves the live set, all zero
-                seen.add((t, bit))
+            measured[t] = bit  # reading a ruled-out branch leaves the node all zero
 
     @settings(max_examples=150, deadline=None)
     @given(awkward_states(), st.lists(st.integers(0, 11), min_size=1, max_size=14), st.integers(0, 2**64 - 1))
