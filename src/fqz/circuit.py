@@ -394,8 +394,8 @@ def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int
 def _prefix_state(ops: tuple) -> np.ndarray:
     """The state that resolved ops with no measure leave, bit for bit as
     iter_steps makes it. Each gate's product stays targets first, as np.dot
-    leaves it: `order` names the qubit on each axis, and one transpose at
-    the end puts them back in qubit order."""
+    leaves it: `order` names the qubit on each axis, composing each
+    placement's `axes`, and one transpose at the end restores qubit order."""
     psi, order = np.ones(1, dtype=np.complex128), []
     for op in ops:
         if op[0] == "state":
@@ -404,9 +404,9 @@ def _prefix_state(ops: tuple) -> np.ndarray:
             psi = np.multiply.outer(psi, op[1]).reshape(-1)
             order.append(len(order))
         else:  # apply_gate's operand and product, with the other qubits' columns in `order`'s order
-            shape, axes, _, _, rows, _ = state._cached_layout(tuple(map(order.index, op[2])), len(order))
-            psi = op[1].matrix.dot(psi.reshape(shape).transpose(axes).reshape(rows, -1))
-            order = [*op[2], *[q for q in order if q not in op[2]]]
+            axes = state._cached_layout(tuple(map(order.index, op[2])), len(order))[0]
+            psi = op[1].matrix.dot(psi.reshape((2,) * len(order)).transpose(axes).reshape(1 << len(op[2]), -1))
+            order = [order[a] for a in axes]
     return psi.reshape((2,) * len(order)).transpose(np.argsort(order)).reshape(-1)
 
 

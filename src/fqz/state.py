@@ -6,11 +6,11 @@ for two qubits |xy> sits at index 2x + y. Registers are capped at 12
 qubits (4096 amplitudes); everything is dense.
 
 apply_gate multiplies a gate into the target axes of the state with one
-np.dot, moving the data as one cached record per (targets, register size)
-says, and moves the product back to qubit order; the tests hold it
-against a brute-force reference that builds the full 2**n x 2**n matrix.
-circuit's terminal-program prefix reads the same records by the axis each
-qubit sits on, keeps each product's axis order and transposes once.
+np.dot, moving the data by one cached permutation of the qubit axes per
+(targets, register size) and the product back to qubit order; the tests
+hold it against a brute-force reference that builds the full 2**n x 2**n
+matrix. circuit's terminal-program prefix composes the same permutations,
+keeps each product's axis order and transposes once.
 measure_qubit, the one definition of p(1), sums branch 1 of a strided
 view, a splitmix64 draw picks a branch, and only that one is kept;
 circuit.run_shots reproduces its bytes.
@@ -18,6 +18,7 @@ circuit.run_shots reproduces its bytes.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from typing import NamedTuple, Sequence
@@ -65,37 +66,36 @@ def basis_state(n_qubits: int, index: int) -> np.ndarray:
     return s
 
 
+def _qubit(t) -> int:
+    """t as an int if it equals one (np.int64(1), True, 1.0); else ValueError."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):  # int("x"), int(nan), int(inf)
+        if t == int(t):
+            return int(t)
+    raise ValueError(f"qubit index {t!r} is not an integer")
+
+
 @functools.cache
 def _cached_layout(targets: tuple, n: int) -> tuple:
-    """apply_gate's one record of a gate placement, memoised per (targets,
-    n); a raise is not cached, so bad targets fail the same way every call.
+    """apply_gate's record of a gate placement, memoised per (targets, n).
+    A raise is not cached, and a key equal to a cached one names the same
+    integers, so bad targets fail the same way every call.
 
-    Returns (shape, axes, moved, inverse, 2**arity, index). `shape` has an
-    axis of 2 per target, each after an axis for the qubits since the
-    previous target, and a last axis for the qubits after the last target
-    (2**gap each, possibly 1). `axes` brings the targets forward in target
-    order, then the other axes in order; `moved` is the transposed shape
-    and `inverse` undoes `axes`. `index`, on at most GATHER_MAX_QUBITS
-    qubits, is the read-only (2**arity, rest) intp array of the state
-    indices that transpose puts at each place; else None."""
-    targets = tuple(int(t) for t in targets)
+    Returns (axes, inverse, index) from one permutation of the state's
+    (2,) * n tensor: `axes` is the targets in target order, then the other
+    qubits in order; `inverse` undoes it; `index`, on at most
+    GATHER_MAX_QUBITS qubits, is the read-only (2**arity, rest) intp array
+    of the state indices `axes` puts at each place, else None."""
+    targets = tuple(map(_qubit, targets))
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubit in {targets}")
     for t in targets:
         if not 0 <= t < n:
             raise ValueError(f"target qubit {t} out of range for a {n}-qubit register")
-    ranked, shape, previous = sorted(targets), [], -1
-    for t in ranked:
-        shape += [2 ** (t - previous - 1), 2]
-        previous = t
-    shape.append(2 ** (n - 1 - previous))
-    axes = tuple(2 * ranked.index(t) + 1 for t in targets) + tuple(range(0, len(shape), 2))
-    inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-    rows, index = 2 ** len(targets), None
+    axes, index = targets + tuple(q for q in range(n) if q not in targets), None
     if n <= GATHER_MAX_QUBITS:
-        index = np.arange(2**n, dtype=np.intp).reshape(shape).transpose(axes).reshape(rows, -1)
+        index = np.arange(2**n, dtype=np.intp).reshape((2,) * n).transpose(axes).reshape(1 << len(targets), -1)
         index.setflags(write=False)
-    return tuple(shape), axes, tuple(shape[a] for a in axes), inverse, rows, index
+    return axes, tuple(sorted(range(n), key=axes.__getitem__)), index
 
 
 def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
@@ -105,29 +105,28 @@ def apply_gate(state, g: Gate, targets: Sequence[int]) -> np.ndarray:
     The state is moved to a (2**arity, rest) matrix, the target qubits
     first, which the gate multiplies in one np.dot (called as matrix.dot,
     the same C routine without the Python-level dispatch); the product is
-    moved back into a fresh array. _cached_layout's record says how:
-    through its gather index on registers of at most GATHER_MAX_QUBITS
-    qubits, which costs less per call, else by its reshape and transpose
-    of 2*arity + 1 axes. Either way only data moves, so the matrix is the
-    one np.tensordot would hand to the same zgemm over all n axes, and
-    the amplitudes are bit-identical to the contraction route. The state
-    is validated on every call; the targets are checked, and the record
-    built, on the first call for each (targets, register size)."""
+    moved back into a fresh array. _cached_layout's record says how: by
+    its gather index on at most GATHER_MAX_QUBITS qubits, which costs less
+    per call, else by transposing the (2,) * n tensor by `axes` and back
+    by `inverse`. Only data moves, so zgemm gets np.tensordot's matrix and
+    the amplitudes are bit-identical. The state is validated on every
+    call; the targets are checked, and the record built, on the first
+    call for each (targets, register size)."""
     psi = as_state(state)
     n = psi.size.bit_length() - 1
     targets, arity, matrix = tuple(targets), g.arity, g.matrix
     if len(targets) != arity:
-        found = tuple(map(int, targets))
+        found = tuple(map(_qubit, targets))
         raise ValueError(f"gate {g.name} has arity {arity} but got {len(targets)} target(s) {found}")
-    shape, axes, moved, inverse, rows, index = _cached_layout(targets, n)
+    axes, inverse, index = _cached_layout(targets, n)
     if type(matrix) is not np.ndarray or matrix.dtype is not COMPLEX128:
         matrix = np.asarray(matrix, dtype=COMPLEX128)
     if index is not None:
         out = np.empty(psi.size, COMPLEX128)
         out[index] = matrix.dot(psi[index])
         return out
-    t = matrix.dot(psi.reshape(shape).transpose(axes).reshape(rows, -1))
-    return t.reshape(moved).transpose(inverse).reshape(-1)
+    t = matrix.dot(psi.reshape((2,) * n).transpose(axes).reshape(1 << arity, -1))
+    return t.reshape((2,) * n).transpose(inverse).reshape(-1)
 
 
 def probabilities(state) -> np.ndarray:
@@ -151,8 +150,8 @@ def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     with probability 1.0, all-zero states included. The input is not mutated."""
     psi = as_state(state)
     n = psi.size.bit_length() - 1
-    if not 0 <= target < n:
-        raise ValueError(f"target qubit {target} out of range for a {n}-qubit register")
+    if type(target) is not int or not 0 <= target < n:  # apply_gate's target checks: raise, or name the int
+        target = _cached_layout((target,), n)[0][0]
     branches = psi.reshape(1 << target, 2, -1)
     mags = np.abs(branches[:, 1, :])  # a fresh C-ordered array, squared in place
     p_one = float(np.add.reduce(np.square(mags, out=mags).reshape(-1)))

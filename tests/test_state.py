@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,24 +160,19 @@ class TestApplyGate:
         assert sum(index.nbytes for index in indices) <= 256 * 1024
 
     @pytest.mark.parametrize("arity", [0, 1, 2, 3])
-    def test_merged_layouts_move_the_same_tensor_in_at_most_2k_plus_1_axes(self, arity):
-        """A record's transpose moves exactly 2k+1 axes, and moves the same
-        tensor as the n-axis transpose that puts the targets first, in
-        target order, and the other qubits after them in order."""
+    def test_layouts_are_one_permutation_of_the_qubit_axes(self, arity):
+        """A record's `axes` is the targets in target order, then the other
+        qubits in order; `inverse` undoes it; and its gather index, where
+        present, is range(2**n) as a (2,) * n tensor transposed by `axes`."""
         for n in range(arity, state.MAX_QUBITS + 1):
-            psi = np.arange(2**n)
+            psi = np.arange(2**n).reshape((2,) * n)
             for targets in itertools.permutations(range(n), arity):
-                shape, axes, moved, inverse, rows, index = state._cached_layout(targets, n)
-                assert len(shape) == len(axes) == len(moved) == len(inverse) == 2 * arity + 1
-                assert rows == 2**arity
-                order = targets + tuple(q for q in range(n) if q not in targets)
-                want = psi.reshape((2,) * n).transpose(order)
-                got = psi.reshape(shape).transpose(axes)
-                assert got.shape == moved
-                np.testing.assert_array_equal(got.reshape(-1), want.reshape(-1))
-                np.testing.assert_array_equal(got.reshape(moved).transpose(inverse).reshape(-1), psi)
+                axes, inverse, index = state._cached_layout(targets, n)
+                assert axes == targets + tuple(q for q in range(n) if q not in targets)
+                assert tuple(axes[i] for i in inverse) == tuple(range(n))
+                np.testing.assert_array_equal(psi.transpose(axes).transpose(inverse), psi)
                 if index is not None:
-                    np.testing.assert_array_equal(index.reshape(-1), want.reshape(-1))
+                    np.testing.assert_array_equal(index, psi.transpose(axes).reshape(2**arity, -1))
 
     @pytest.mark.parametrize("g", ONE_QUBIT_GATES, ids=lambda g: f"{g.name}-{g.parameter}")
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -197,6 +193,44 @@ class TestApplyGate:
         for t in range(3):
             twice = state.apply_gate(state.apply_gate(psi, g, [t]), g, [t])
             np.testing.assert_allclose(twice, psi, atol=1e-9)
+
+
+# Qubit indices apply_gate and measure_qubit take for qubit 1 of a
+# register, and ones they reject with a ValueError naming the index.
+WHOLE_ONES = [1, np.int64(1), np.uint8(1), True, 1.0, np.float64(1.0)]
+NOT_WHOLE = [1.5, -0.5, 2.9999, np.float64(1.5), "1", math.nan, math.inf, None]
+
+
+class TestQubitIndices:
+    """A qubit index equal to an integer stands for that qubit; any other
+    raises ValueError naming it, in apply_gate on the gather path (3
+    qubits) and the transposing path (10), whichever of the equal keys
+    (1,) and (1.0,) the placement cache holds first, and in measure_qubit."""
+
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("integer_first", [True, False])
+    def test_apply_gate(self, n, integer_first):
+        state._cached_layout.cache_clear()
+        psi, h, cnot = probability_states(n)["random"], gates.hadamard(), gates.cnot()
+        want, want_cnot = tensordot_apply(psi, h, (1,)).tobytes(), tensordot_apply(psi, cnot, (2, 1)).tobytes()
+        for t in WHOLE_ONES if integer_first else WHOLE_ONES[::-1]:
+            assert state.apply_gate(psi, h, (t,)).tobytes() == want
+            assert state.apply_gate(psi, cnot, (2, t)).tobytes() == want_cnot
+        for t in NOT_WHOLE:
+            for g, targets in ((h, (t,)), (cnot, (2, t)), (cnot, (t, 0))):
+                with pytest.raises(ValueError, match=f"^qubit index {re.escape(repr(t))} is not an integer$"):
+                    state.apply_gate(psi, g, targets)
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_measure_qubit(self, n):
+        psi = probability_states(n)["random"]
+        want = state.measure_qubit(psi, 1, seed=5)
+        for t in WHOLE_ONES:
+            r = state.measure_qubit(psi, t, seed=5)
+            assert (r.bit, r.post_state.tobytes(), r.probability) == (want.bit, want.post_state.tobytes(), want.probability)
+        for t in NOT_WHOLE:
+            with pytest.raises(ValueError, match=f"^qubit index {re.escape(repr(t))} is not an integer$"):
+                state.measure_qubit(psi, t, seed=5)
 
 
 def tensordot_apply(psi, g, targets):
@@ -536,7 +570,7 @@ class TestResultsAreFreshArrays:
         placements = [(gates.hadamard(), (t,)) for t in range(n)] + [(gates.phase_shift(0.3), (n - 1,))]
         placements += [(oracle_gate("f", OracleFn.NEGATION), (n - 1, 0))] * (n > 1) + [(gates.cnot(), (0, n - 1))] * (n > 1)
         for g, targets in placements:
-            gathered = state._cached_layout(targets, n)[5] is not None
+            gathered = state._cached_layout(targets, n)[-1] is not None
             assert gathered == (n <= state.GATHER_MAX_QUBITS)
             out = state.apply_gate(psi, g, targets)
             assert_fresh(out, psi)
