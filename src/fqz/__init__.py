@@ -63,13 +63,11 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-_CHECKER_NAMES = {"CheckReport", "CheckResult", "check_gate", "check_observable", "check_program"}
-
 
 def __getattr__(name: str):
-    # Any other name must raise here: `from . import checker` asks for the
-    # attribute "checker" first, which would otherwise come back to this.
-    if name not in _CHECKER_NAMES:
+    # __all__'s names that the imports above leave unbound are the checker's;
+    # any other must raise, as `from . import checker` first asks for "checker".
+    if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import checker
 

@@ -153,7 +153,8 @@ def check_program(program: lang.Program, tol: float = DEFAULT_TOL, subject: str 
     try:
         circuit, oracles = lang.compile_program(program)
     except lang.CompileError as exc:
-        failed = CheckResult("PROG-SCOPE", "names declared before use", False, str(exc))
+        detail = f"{exc.line}:{exc.column}: {exc.message}" if exc.line else str(exc)  # located as `run` reports it
+        failed = CheckResult("PROG-SCOPE", "names declared before use", False, detail)
         return _skip_rest(subject, failed, (("PROG-NORM", "unit norm after every instruction"),), "scoping failed")
     qubits = sum(isinstance(ins, Alloc) for ins in circuit.instructions)
     scope_detail = f"{qubits} qubit(s), {len(oracles)} oracle(s), {len(circuit)} statement(s)"

@@ -16,11 +16,11 @@ runners reuse a resolved circuit under an equal oracle table and
 validate any other first. A terminal program (every measure after the
 last gate) run for 2+ shots runs its gates once, keeping np.dot's axis
 order until one transpose at the end, then splits the shots a measure at
-a time on trie nodes shaped by the qubits they have not measured, with
-measure_qubit's p(1) (summed over zero-padded rows of a buffer reused
-within each block of shots), bits and ValueError on a p(1) that overflows
-to inf. Any other re-runs every step per shot; only shot 0 gets a report,
-the rest are read off iter_steps' bits.
+a time on trie nodes, each a block of the state permuted once into
+measurement order, with measure_qubit's p(1) (summed over zero-padded
+rows of a buffer reused within each block of shots), bits and ValueError
+on a p(1) that overflows to inf. Any other re-runs every step per shot;
+only shot 0 gets a report, the rest are read off iter_steps' bits.
 """
 from __future__ import annotations
 
@@ -342,50 +342,50 @@ def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int
     """run_shots of a resolved terminal circuit, with the shot loop's bits
     and bytes: the gates run once, then each block of shots walks the trie
     of outcomes one measure at a time, in numpy calls per level, not per
-    node. A row holds its node's amplitudes over the qubits `free` it has
-    not measured, in qubit order, so branch b of qubit t is a view; its
-    measured bits sit in its basis `offset`, and the level's `grid` holds
-    each column's basis index over `free`. A qubit measured again puts each
-    row back into the branch its bit names, beside zeros. `node` maps each
-    shot to its row; `padded`, one per block, is _branch_probabilities' buffer."""
+    node. Permuted once into measurement order (qubits by first read, the
+    rest in qubit order), the state holds each node's row as one block, and
+    `columns`, arange permuted alike, each position's basis index: branch b
+    of a newly read qubit is a row's b-th half, and a row of length L sits
+    at basis indices offset + columns[:L], its measured bits in `offset`. A
+    qubit read again puts each row back into the branch its bit names. `node`
+    maps each shot to its row; `padded` is _branch_probabilities' buffer."""
     psi = _prefix_state(circuit.ops[:first_measure])
     targets = [op[1] for op in circuit.ops[first_measure:]]
     if not targets:  # every shot reads the empty outcome: no draws, O(1) in shots
         return RunReport(psi, (), (), {"": shots})
+    n = psi.size.bit_length() - 1
+    order = list(dict.fromkeys([*targets, *range(n)]))  # each qubit at its first read, the rest after
+    ordered, columns = (a.reshape((2,) * n).transpose(order).reshape(-1) for a in (psi, np.arange(psi.size)))
     path, measured, counts = [psi], [], {}  # shot 0's states (before each measure, then final) and triples
     block = max(1, BLOCK_DRAWS // len(targets))
     for start in range(0, shots, block):
         u = uniforms(root_seed, start, min(block, shots - start), len(targets))  # column k turns into measure k's bits
         padded = np.zeros((min(max(1, BLOCK_DRAWS // (psi.size >> 1)), len(u)), psi.size >> 1))
-        amps, offset, grid, node = psi[None, :], np.zeros(1, dtype=np.intp), np.arange(psi.size), np.zeros(len(u), dtype=np.intp)
-        free = list(range(psi.size.bit_length() - 1))
+        amps, offset, node, read = ordered[None, :], np.zeros(1, dtype=np.intp), np.zeros(len(u), dtype=np.intp), set()
         for k, t in enumerate(targets):
-            low, j = psi.size >> (t + 1), sum(q < t for q in free)  # qubit t's place value; free qubits before it
-            if t not in free:  # read before: each row goes back into the branch its bit names, beside zeros
-                bits, grid = (offset & low) // low, grid.reshape(2**j, 1, -1) + np.array([[0], [low]])
-                amps = np.where((bits[:, None] == [0, 1])[:, None, :, None], amps.reshape(len(amps), 2**j, 1, -1), 0)
-                offset, free = offset - bits * low, sorted([*free, t])
-            a4, g4 = amps.reshape(len(amps), 2**j, 2, -1), grid.reshape(2**j, 2, -1)
-            p_one = _branch_probabilities(padded, a4[:, :, 1, :], offset, g4[:, 1, :], low)
+            low = psi.size >> (t + 1)  # qubit t's place value
+            if t in read:  # each row goes back into the branch its bit names, beside zeros
+                bits = (offset & low) // low
+                amps, offset = np.where((bits[:, None] == [0, 1])[:, :, None], amps[:, None, :], 0), offset - bits * low
+            a3 = amps.reshape(len(amps), 2, -1)
+            read.add(t)
+            p_one = _branch_probabilities(padded, a3[:, 1], offset + low, columns[: a3.shape[2]], low)
             if np.isinf(p_one).any():
                 raise ValueError(f"p(1) of qubit {t} overflows to inf")
-            empty = (p_one > 0) & ~np.logical_or.reduce(a4[:, :, 0, :], axis=(1, 2))  # measure_qubit's empty-branch rule
+            empty = (p_one > 0) & ~np.logical_or.reduce(a3[:, 0], axis=1)  # measure_qubit's empty-branch rule
             u[:, k] = ones = (u[:, k] < p_one[node]) | empty[node]
             key = 2 * node + ones
             present = np.bincount(key, minlength=2 * len(amps)) > 0  # which (node, bit) children have shots
             node = (present.cumsum() - 1)[key]
             parent, bit = np.divmod(present.nonzero()[0], 2)
             prob = np.where(bit, p_one[parent], 1.0 - p_one[parent])
-            amps = (a4[parent, :, bit, :] / np.sqrt(prob)[:, None, None]).reshape(len(parent), -1)
-            offset, grid = offset[parent] + bit * low, g4[:, 0, :].reshape(-1)
-            free.remove(t)
+            amps, offset = a3[parent, bit] / np.sqrt(prob)[:, None], offset[parent] + bit * low
             if start == 0:
                 path.append(np.zeros(psi.size, dtype=np.complex128))
-                path[-1][offset[node[0]] + grid] = amps[node[0]]
+                path[-1][offset[node[0]] + columns[: amps.shape[1]]] = amps[node[0]]
                 measured.append((circuit.instructions[first_measure + k].name, int(bit[node[0]]), float(prob[node[0]])))
-        first = np.full(len(amps), len(u))
-        np.minimum.at(first, node, np.arange(len(u)))
-        for s, m in sorted(zip(first.tolist(), np.bincount(node).tolist())):
+        _, first, tally = np.unique(node, return_index=True, return_counts=True)
+        for s, m in sorted(zip(first.tolist(), tally.tolist())):
             outcome = (u[s] + ord("0")).astype(np.uint8).tobytes().decode()
             counts[outcome] = counts.get(outcome, 0) + m
     return RunReport(path[-1], tuple(measured), tuple(path[:-1]), counts)
@@ -416,7 +416,7 @@ def _branch_probabilities(padded: np.ndarray, ones: np.ndarray, offset: np.ndarr
     sit at basis indices offset[r] + columns, and their squares fill a
     full-size branch-1 row of the zeroed buffer `padded` for np.add.reduce,
     as many rows at a time as it holds; zeros put back leave it zeroed."""
-    squares, at = np.square(np.abs(ones)).reshape(len(ones), -1), np.add.outer(offset, columns).reshape(len(ones), -1)
+    squares, at = np.square(np.abs(ones)), np.add.outer(offset, columns)
     at = (at >> 1) & -low | at & (low - 1)  # each index's place in the branch-1 view: bit `low` taken out
     flat, (chunk, half), p_one = padded.reshape(-1), padded.shape, np.empty(len(ones))
     for i in range(0, len(ones), chunk):

@@ -26,23 +26,18 @@ from .gates import gate as gate_by_name, gate_key
 DEUTSCH_TOL = 1e-9
 
 
-def _seed_value(text: str) -> int:
-    try:
-        value = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
+def _integer(base: int, fits, message: str):
+    """An argparse type: int(text, base), refused with `message` unless it fits."""
 
+    def value(text: str) -> int:
+        try:
+            number = int(text, base)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if not fits(number):
+            raise argparse.ArgumentTypeError(message)
+        return number
 
-def _shots_value(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError("shot count must be >= 1")
     return value
 
 
@@ -56,10 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand's options in this order: path, --shots/--oracle, --seed, --format
     for p in (p_check, p_run):
         p.add_argument("path", help="program file (.fqz)")
-    p_run.add_argument("--shots", type=_shots_value, default=1)
+    p_run.add_argument("--shots", type=_integer(10, lambda n: n >= 1, "shot count must be >= 1"), default=1)
     p_deutsch.add_argument("--oracle", choices=tuple(ORACLE_KEYWORDS), required=True)
+    seed = _integer(0, lambda n: 0 <= n < 2**64, "seed must fit in an unsigned 64-bit integer")
     for p in (p_run, p_deutsch):
-        p.add_argument("--seed", type=_seed_value, default=42)
+        p.add_argument("--seed", type=seed, default=42)
     for p in (p_check, p_run, p_deutsch):
         p.add_argument("--format", choices=("text", "json"), default="text")
     return parser

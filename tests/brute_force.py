@@ -29,8 +29,8 @@ before it squared np.abs's output in place, so the reference does not
 follow a change to the library's sum; measure_qubit's probability must
 carry the bits of that p(1) (of 1 - p(1) on bit 0) for every target, and
 so must circuit._branch_probabilities, which sums a trie node's branch-1
-squares placed by basis offset and free-column grid in a zero-padded
-full-size row.
+squares, placed by basis offset and a prefix of the measurement-order
+columns, in a zero-padded full-size row.
 
 reference_amplitudes_json is cli._amplitudes_json as it was before it
 spelled each distinct part once: one str.format call writes all 2 * 2**n

@@ -275,15 +275,21 @@ class TestCheckProgram:
         assert rules["PROG-NORM"].detail == "skipped: scoping failed"
 
     @pytest.mark.parametrize(
-        "decl",
-        [("f", OracleFn.IDENTITY), OracleDecl(["f"], OracleFn.IDENTITY), OracleDecl(None, OracleFn.IDENTITY, 3, 1), "f"],
+        "decl, where",
+        [
+            (("f", OracleFn.IDENTITY), ""),
+            (OracleDecl(["f"], OracleFn.IDENTITY), ""),
+            (OracleDecl(None, OracleFn.IDENTITY, 3, 1), "3:1: "),
+            ("f", ""),
+        ],
         ids=["plain-tuple", "list-name", "none-name", "str"],
     )
-    def test_malformed_oracle_declaration_fails_scope(self, decl):
+    def test_malformed_oracle_declaration_fails_scope(self, decl, where):
+        # a declaration with a position is located as `fqz run` prints it
         p = Program((decl,), (AllocStmt("x", "|0>"),))
         rules = by_rule(checker.check_program(p))
         assert not rules["PROG-SCOPE"].passed
-        assert rules["PROG-SCOPE"].detail == f"malformed oracle declaration {decl!r}"
+        assert rules["PROG-SCOPE"].detail == f"{where}malformed oracle declaration {decl!r}"
         assert rules["PROG-NORM"].detail == "skipped: scoping failed"
 
     @pytest.mark.parametrize("decls, statements", [(None, ()), ((), None), ((), 5)], ids=["none-decls", "none-statements", "int-statements"])
@@ -349,9 +355,10 @@ class TestCheckProgram:
         assert rules["PROG-NORM"].detail == "execution failed: kernel fault"
 
     def test_oracle_on_one_qubit_fails_scope(self):
-        # N applied to one qubit twice is rejected before anything runs
+        # N applied to one qubit twice is rejected before anything runs, at
+        # the line and column `fqz run` reports
         p = lang.parse_source("oracle f = id\nqubit x = |0>\nN[f] x x")
         rules = by_rule(checker.check_program(p))
         assert not rules["PROG-SCOPE"].passed
-        assert rules["PROG-SCOPE"].detail == "statement 1: oracle N[f] targets qubit 'x' twice"
+        assert rules["PROG-SCOPE"].detail == "3:1: oracle N[f] targets qubit 'x' twice"
         assert rules["PROG-NORM"].detail == "skipped: scoping failed"

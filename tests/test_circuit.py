@@ -847,28 +847,37 @@ def awkward_states(draw):
 
 
 class TestCompactedNodes:
-    """A trie node holds its amplitudes over the qubits it has not measured,
-    its measured bits in one basis offset. Its p(1) must be measure_qubit's
-    p(1) of the full-size state (the reference's sum), and its amplitudes,
-    scattered back, the bytes of the full-size collapse."""
+    """A trie node's row is one block of the state permuted into measurement
+    order, its measured bits in one basis offset. Its p(1) must be
+    measure_qubit's p(1) of the full-size state (the reference's sum), and
+    its amplitudes, scattered back, the bytes of the full-size collapse."""
 
     @settings(max_examples=300, deadline=None)
     @given(awkward_states(), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 1)), min_size=1, max_size=14))
     def test_padded_row_sum_is_the_full_size_branch_probability(self, psi, reads):
         n = psi.size.bit_length() - 1
+        reads = [(t % n, bit) for t, bit in reads]
+        # the engine's layout: qubits by first read, then the rest in qubit
+        # order; `columns` holds the basis index of each position
+        order = list(dict.fromkeys([*(t for t, _ in reads), *range(n)]))
+        columns = np.arange(psi.size).reshape((2,) * n).transpose(order).reshape(-1)
         full, measured = psi, {}  # qubit -> the bit its last read left
         for t, bit in reads:
-            t %= n
-            # the engine's row: a re-read qubit goes back among the free ones,
-            # its row in the branch its bit names and zeros in the other
-            free = [q for q in range(n) if q not in measured or q == t]
-            offset = sum(b << (n - 1 - q) for q, b in measured.items() if q != t)
-            grid = np.zeros(1, dtype=np.intp)
-            for q in free:
-                grid = (grid[:, None] + [0, 1 << (n - 1 - q)]).reshape(-1)
-            j, padded = free.index(t), np.zeros((1, psi.size >> 1))
-            ones = full[offset + grid].reshape(1, 2**j, 2, -1)[:, :, 1, :]
-            p_one = fc._branch_probabilities(padded, ones, np.array([offset]), grid.reshape(2**j, 2, -1)[:, 1, :], psi.size >> (t + 1))
+            low = psi.size >> (t + 1)
+            # the engine's row: the block of the ordered state that the
+            # measured qubits, which lead the order, pick out; it sits at
+            # the basis offset of their bits plus a prefix of `columns`
+            ordered = full.reshape((2,) * n).transpose(order).reshape(-1)
+            block = sum(measured[q] << (len(measured) - 1 - i) for i, q in enumerate(order[: len(measured)]))
+            row = ordered.reshape(2 ** len(measured), -1)[block]
+            offset = sum(b << (n - 1 - q) for q, b in measured.items())
+            assert row.tobytes() == full[offset + columns[: row.size]].tobytes()
+            if t in measured:  # read again: the row goes into the branch its bit names, beside zeros
+                a3, offset = np.where((np.arange(2) == measured[t])[None, :, None], row, 0), offset - measured[t] * low
+            else:  # read first: branch 1 is the row's second half
+                a3 = row.reshape(1, 2, -1)
+            padded = np.zeros((1, psi.size >> 1))
+            p_one = fc._branch_probabilities(padded, a3[:, 1], np.array([offset + low]), columns[: a3.shape[2]], low)
             p = float(p_one[0])
             assert p.hex() == reference_branch_probability(full, t).hex()
             assert not padded.any()

@@ -77,7 +77,7 @@ class TestCheck:
         path.write_text("".join(f"qubit q{i} = |0>\n" for i in range(13)), encoding="utf-8")
         code, out, _ = run_cli(capsys, "check", str(path))
         assert code == 1
-        assert "FAIL PROG-SCOPE names declared before use (statement 12: register cap of 12 qubits exceeded)" in out
+        assert "FAIL PROG-SCOPE names declared before use (13:1: register cap of 12 qubits exceeded)" in out
         assert "FAIL PROG-NORM unit norm after every instruction (skipped: scoping failed)" in out
 
     def test_each_signed_zero_angle_is_checked_as_its_own_gate(self, capsys, tmp_path):
@@ -348,6 +348,34 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", deutsch_file(), "--seed", str(2**64)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "010", "not an integer: '010'"),
+            ("--seed", "-1", "seed must fit in an unsigned 64-bit integer"),
+            ("--seed", str(2**64), "seed must fit in an unsigned 64-bit integer"),
+            ("--seed", "1e3", "not an integer: '1e3'"),
+            ("--shots", "0", "shot count must be >= 1"),
+            ("--shots", "x", "not an integer: 'x'"),
+            ("--shots", "0x10", "not an integer: '0x10'"),
+        ],
+    )
+    def test_bad_integer_flag_names_its_rule(self, capsys, deutsch_file, flag, value, message):
+        # --seed reads Python's integer literals (0x10, 1_0; not 010),
+        # --shots plain decimal (010 is ten)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", deutsch_file(), flag, value])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"fqz run: error: argument {flag}: {message}"
+
+    @pytest.mark.parametrize("flag, value, plain", [("--seed", "0x10", "16"), ("--seed", "1_0", "10"), ("--shots", "010", "10"), ("--shots", "1_0", "10")])
+    def test_integer_flag_spellings(self, capsys, tmp_path, flag, value, plain):
+        path = tmp_path / "coins.fqz"
+        path.write_text("qubit x = |+>\nqubit y = |+>\nmeasure x\nmeasure y\n", encoding="utf-8")
+        args = ("run", str(path), "--seed" if flag == "--shots" else "--shots", "5", flag)
+        assert run_cli(capsys, *args, value) == run_cli(capsys, *args, plain)
+        assert run_cli(capsys, *args, value) != run_cli(capsys, *args, "1")
 
     def test_bad_format_is_usage_error(self, capsys, deutsch_file):
         with pytest.raises(SystemExit) as exc:
