@@ -341,25 +341,26 @@ def run_shots(circuit: Circuit, oracles: Mapping[str, OracleFn], root_seed: int,
 def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int) -> RunReport:
     """run_shots of a resolved terminal circuit, with the shot loop's bits
     and bytes: the gates run once, then each block of shots walks the trie
-    of outcomes one measure at a time, in numpy calls per level, not per
-    node. Permuted once into measurement order (qubits by first read, the
-    rest in qubit order), the state holds each node's row as one block, and
-    `columns`, arange permuted alike, each position's basis index: branch b
-    of a newly read qubit is a row's b-th half, and a row of length L sits
-    at basis indices offset + columns[:L], its measured bits in `offset`. A
-    qubit read again puts each row back into the branch its bit names. `node`
-    maps each shot to its row; `padded` is _branch_probabilities' buffer."""
+    of outcomes a measure at a time, in numpy calls per level, not per node.
+    The state, permuted once into measurement order (qubits by first read,
+    then the rest), holds each node's row as one block; `columns`, arange
+    permuted alike, gives each position's basis index, so a row of length L
+    sits at offset + columns[:L], its measured bits in `offset`. Branch b of
+    a newly read qubit is a row's b-th half; a qubit read again puts each row
+    back into the branch its bit names. Branch 0 is empty when its float view
+    holds no nonzero. `node` maps each shot to its row. Shot 0's states are
+    rows of one array, and a block's outcomes are spelt in one pass."""
     psi = _prefix_state(circuit.ops[:first_measure])
     targets = [op[1] for op in circuit.ops[first_measure:]]
     if not targets:  # every shot reads the empty outcome: no draws, O(1) in shots
         return RunReport(psi, (), (), {"": shots})
-    n = psi.size.bit_length() - 1
+    n, depth = psi.size.bit_length() - 1, len(targets)
     order = list(dict.fromkeys([*targets, *range(n)]))  # each qubit at its first read, the rest after
     ordered, columns = (a.reshape((2,) * n).transpose(order).reshape(-1) for a in (psi, np.arange(psi.size)))
-    path, measured, counts = [psi], [], {}  # shot 0's states (before each measure, then final) and triples
-    block = max(1, BLOCK_DRAWS // len(targets))
+    states, measured, counts = np.zeros((depth, psi.size), dtype=np.complex128), [], {}  # shot 0's, after each measure
+    block = max(1, BLOCK_DRAWS // depth)
     for start in range(0, shots, block):
-        u = uniforms(root_seed, start, min(block, shots - start), len(targets))  # column k turns into measure k's bits
+        u = uniforms(root_seed, start, min(block, shots - start), depth)  # column k turns into measure k's bits
         padded = np.zeros((min(max(1, BLOCK_DRAWS // (psi.size >> 1)), len(u)), psi.size >> 1))
         amps, offset, node, read = ordered[None, :], np.zeros(1, dtype=np.intp), np.zeros(len(u), dtype=np.intp), set()
         for k, t in enumerate(targets):
@@ -370,25 +371,25 @@ def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int
             a3 = amps.reshape(len(amps), 2, -1)
             read.add(t)
             p_one = _branch_probabilities(padded, a3[:, 1], offset + low, columns[: a3.shape[2]], low)
-            if np.isinf(p_one).any():
+            if np.maximum.reduce(p_one) == np.inf:
                 raise ValueError(f"p(1) of qubit {t} overflows to inf")
-            empty = (p_one > 0) & ~np.logical_or.reduce(a3[:, 0], axis=1)  # measure_qubit's empty-branch rule
-            u[:, k] = ones = (u[:, k] < p_one[node]) | empty[node]
+            held = np.logical_or.reduce(a3[:, 0].view(np.float64), axis=1)  # branch 0 has a nonzero float
+            u[:, k] = ones = u[:, k] < np.where(held, p_one, np.sign(p_one))[node]  # else 1 iff p(1) > 0: draws are < 1
             key = 2 * node + ones
             present = np.bincount(key, minlength=2 * len(amps)) > 0  # which (node, bit) children have shots
             node = (present.cumsum() - 1)[key]
             parent, bit = np.divmod(present.nonzero()[0], 2)
-            prob = np.where(bit, p_one[parent], 1.0 - p_one[parent])
+            prob = np.where(bit, p_parent := p_one[parent], 1.0 - p_parent)
             amps, offset = a3[parent, bit] / np.sqrt(prob)[:, None], offset[parent] + bit * low
             if start == 0:
-                path.append(np.zeros(psi.size, dtype=np.complex128))
-                path[-1][offset[node[0]] + columns[: amps.shape[1]]] = amps[node[0]]
+                states[k, offset[node[0]] + columns[: amps.shape[1]]] = amps[node[0]]
                 measured.append((circuit.instructions[first_measure + k].name, int(bit[node[0]]), float(prob[node[0]])))
         _, first, tally = np.unique(node, return_index=True, return_counts=True)
-        for s, m in sorted(zip(first.tolist(), tally.tolist())):
-            outcome = (u[s] + ord("0")).astype(np.uint8).tobytes().decode()
+        text = (u[np.sort(first)] + ord("0")).astype(np.uint8).tobytes().decode()  # in order of first appearance
+        for i, m in enumerate(tally[first.argsort()].tolist()):
+            outcome = text[i * depth : (i + 1) * depth]
             counts[outcome] = counts.get(outcome, 0) + m
-    return RunReport(path[-1], tuple(measured), tuple(path[:-1]), counts)
+    return RunReport(states[-1], tuple(measured), (psi, *states[:-1]), counts)
 
 
 def _prefix_state(ops: tuple) -> np.ndarray:

@@ -293,10 +293,10 @@ def parse_source(source: str) -> Program:
 
 
 def format_angle(value: float) -> str:
-    """pi fractions when exact to 1e-12, else the shortest faithful decimal
-    (9 significant digits unless that would change the value)."""
+    """A pi fraction the angle equals exactly, else the shortest faithful
+    decimal (9 significant digits unless that would change the value)."""
     for text, target in _PI_FRACTIONS.items():
-        if abs(value - target) <= 1e-12:
+        if value == target:
             return text
     text = f"{value:.9g}"
     if float(text) != value:

@@ -401,6 +401,45 @@ class TestShotEngine:
                 monkeypatch.setattr(fc, "BLOCK_DRAWS", block)
                 assert report_record(fc._trie_shots(c, len(lines), root, 200)) == expected, (root, block)
 
+    BRANCH_ZERO = {  # qubit a's branch 0, beside a branch 1 of mass 0.5
+        "signed zeros": [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0j],
+        "5e-324 real part": [0j, complex(5e-324, -0.0), complex(-0.0, 0.0), 0j],
+        "5e-324 imaginary part": [complex(-0.0, 5e-324), 0j, complex(-0.0, -0.0), complex(0.0, -0.0)],
+    }
+
+    @pytest.mark.parametrize("case", BRANCH_ZERO)
+    @pytest.mark.parametrize("reads", ["abc", "aba", "bac", "baab"])
+    def test_branch_zero_is_empty_iff_every_float_of_it_is_zero(self, case, reads, monkeypatch):
+        # the trie tests branch 0's float view: parts of ±0.0 leave it empty,
+        # so a (p(1) = 0.5) always reads 1; one 5e-324 part, real or
+        # imaginary, whose square is 0.0, keeps bit 0 readable
+        psi = np.array(self.BRANCH_ZERO[case] + [0.5, -0.5j, complex(-0.0, 0.0), 0j])
+        c = fc.validate_circuit(Circuit([Alloc(q, "|0>") for q in "abc"] + [Measure(q) for q in reads]), {})
+        c = Circuit(c.instructions, (*c.ops[:2], ("state", psi), *c.ops[3:]), {})
+        read_a = set()
+        for root in self.ROOTS:
+            expected = report_record(reference_run_shots(c, {}, root, 200))
+            for block in self.BLOCKS:
+                monkeypatch.setattr(fc, "BLOCK_DRAWS", block)
+                report = fc._trie_shots(c, 3, root, 200)
+                assert report_record(report) == expected, (root, block)
+            read_a |= {outcome[reads.index("a")] for outcome in report.shots}
+        assert read_a == ({"1"} if case == "signed zeros" else {"0", "1"})
+
+    @pytest.mark.parametrize("shots", [2, 20, 1000])
+    def test_a_trie_runs_states_are_independent(self, shots):
+        # shot 0's states after each measure are rows of one block: writing
+        # into any one of the report's states leaves every other unchanged
+        c, oracles = wide_terminal_circuit(random.Random("independent"), repeat=True)
+        report = fc.run_shots(c, oracles, 7, shots)
+        states = [*report.pre_measure_states, report.final_state]
+        for written in range(len(states)):
+            before = [s.tobytes() for s in states]
+            states[written][:] = complex(written, -written)
+            after = [s.tobytes() for s in states]
+            assert [b for i, b in enumerate(after) if i != written] == [b for i, b in enumerate(before) if i != written]
+            assert after[written] != before[written]
+
     def test_a_program_without_measure_tallies_any_shot_count_at_once(self):
         # no draws, so no block of shots is walked: 10**18 shots cost what one does
         c, oracles = lang.compile_program(lang.parse_source(self.SOURCES["no measure"]))

@@ -208,6 +208,27 @@ class TestPrettyPrint:
         p = lang.parse_source(f"qubit q = |0>\nR({angle_text}) q")
         assert f"R({printed}) q" in lang.pretty_print(p)
 
+    @pytest.mark.parametrize("fraction", ["pi", "pi/2", "pi/4"])
+    def test_angles_near_a_pi_fraction_round_trip(self, fraction):
+        # only the fraction's own double prints as its name; one or two ulps
+        # or 1e-13 away, the angle prints as a decimal that parses back to it
+        exact = lang._PI_FRACTIONS[fraction]
+        angles, up, down = [exact, exact + 1e-13, exact - 1e-13], exact, exact
+        for _ in range(2):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            angles += [up, down]
+        for angle in angles:
+            p = Program((), (AllocStmt("q", "|0>"), ApplyStmt("R", ("q",), angle)))
+            printed = lang.pretty_print(p)
+            assert lang.parse_source(printed).statements[1].parameter.hex() == angle.hex(), printed
+            assert (f"R({fraction}) q" in printed) == (angle == exact)
+
+    @pytest.mark.parametrize("angle_text", ["3.14159265359", "1.5707963267949", "0.785398163397"])
+    def test_rounded_pi_fractions_are_printed_as_written(self, angle_text):
+        p = lang.parse_source(f"qubit q = |0>\nR({angle_text}) q")
+        assert f"R({angle_text}) q" in lang.pretty_print(p)
+        assert lang.parse_source(lang.pretty_print(p)) == p
+
     def test_angle_fallback_keeps_full_precision(self):
         # 9 significant digits would corrupt this value, so the printer
         # must fall back to an exact decimal form
