@@ -385,8 +385,8 @@ def _trie_shots(circuit: Circuit, first_measure: int, root_seed: int, shots: int
                 states[k, offset[node[0]] + columns[: amps.shape[1]]] = amps[node[0]]
                 measured.append((circuit.instructions[first_measure + k].name, int(bit[node[0]]), float(prob[node[0]])))
         _, first, tally = np.unique(node, return_index=True, return_counts=True)
-        text = (u[np.sort(first)] + ord("0")).astype(np.uint8).tobytes().decode()  # in order of first appearance
-        for i, m in enumerate(tally[first.argsort()].tolist()):
+        text = (u[first[by_first := first.argsort()]] + ord("0")).astype(np.uint8).tobytes().decode()  # by first appearance
+        for i, m in enumerate(tally[by_first].tolist()):
             outcome = text[i * depth : (i + 1) * depth]
             counts[outcome] = counts.get(outcome, 0) + m
     return RunReport(states[-1], tuple(measured), (psi, *states[:-1]), counts)
