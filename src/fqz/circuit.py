@@ -9,18 +9,9 @@ four are also the statements lang's parser builds, so each may carry the
 1-based line and column it was parsed from; hand-built ones default to 0,
 and positions never take part in equality or hashing.
 
-Execution is strictly in order. validate_circuit's one walk checks a
-circuit before any instruction runs (lang.compile_program and the
-checker's PROG-SCOPE rule defer to it) and returns it resolved. The
-runners reuse a resolved circuit under an equal oracle table and
-validate any other first. A terminal program (every measure after the
-last gate) run for 2+ shots runs its gates once, keeping np.dot's axis
-order until one transpose at the end, then splits the shots a measure at
-a time on trie nodes, each a block of the state permuted once into
-measurement order, with measure_qubit's p(1) (summed over zero-padded
-rows of a buffer reused within each block of shots), bits and ValueError
-on a p(1) that overflows to inf. Any other re-runs every step per shot;
-only shot 0 gets a report, the rest are read off iter_steps' bits.
+validate_circuit is the one static check of a circuit: lang.compile_program
+and the checker's PROG-SCOPE rule defer to it, and the runners take the
+resolved circuit it returns.
 """
 from __future__ import annotations
 

@@ -307,10 +307,12 @@ def format_angle(value: float) -> str:
 def _statement_text(stmt: Instruction) -> str:
     if isinstance(stmt, Alloc):
         return f"qubit {stmt.name} = {stmt.ket}"
-    if isinstance(stmt, Apply):
-        if stmt.gate == "R":
+    if isinstance(stmt, Apply):  # spelt only in a form the grammar has, so no target or angle is dropped
+        if len(stmt.targets) == 1 and stmt.gate in SINGLE_QUBIT_GATES and stmt.parameter is None:
+            return f"{stmt.gate} {stmt.targets[0]}"
+        if len(stmt.targets) == 1 and stmt.gate == "R" and stmt.parameter is not None and math.isfinite(stmt.parameter):
             return f"R({format_angle(stmt.parameter)}) {stmt.targets[0]}"
-        return f"{stmt.gate} {stmt.targets[0]}"
+        raise ValueError(f"no statement spells gate {stmt.gate!r} on targets {tuple(stmt.targets)!r} with angle {stmt.parameter!r}")
     if isinstance(stmt, ApplyOracle):
         return f"N[{stmt.oracle}] {stmt.control} {stmt.register}"
     if isinstance(stmt, Measure):

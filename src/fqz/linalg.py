@@ -11,10 +11,6 @@ import cmath
 import numpy as np
 
 DEFAULT_TOL = 1e-9
-# Read-only identities of the gate sizes, shared by every unitarity test.
-_IDENTITIES = {dim: np.eye(dim, dtype=np.complex128) for dim in (2, 4)}
-for _eye in _IDENTITIES.values():
-    _eye.setflags(write=False)
 
 
 def check_tol(tol: float) -> None:
@@ -49,7 +45,7 @@ def is_unitary(m, tol: float = DEFAULT_TOL) -> bool:
 
 def is_unitary_square(m: np.ndarray, tol: float) -> bool:
     """is_unitary on a square as_matrix result and a tol check_tol passed, checking neither again."""
-    eye = _IDENTITIES[len(m)] if len(m) in _IDENTITIES else np.eye(len(m), dtype=np.complex128)
+    eye = np.eye(len(m), dtype=np.complex128)
     mh = m.conj().T
     return float(np.maximum(np.abs(m @ mh - eye), np.abs(mh @ m - eye)).max()) <= tol
 

@@ -44,21 +44,11 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0**-53
 
 
-def _mixed(x: np.ndarray) -> np.ndarray:
-    """mix64 of a uint64 array, in place: it wraps mod 2**64, so needs no mask."""
-    x ^= x >> 30
-    x *= 0xBF58476D1CE4E5B9
-    x ^= x >> 27
-    x *= 0x94D049BB133111EB
-    x ^= x >> 31
-    return x
-
-
 def uniforms(root_seed: int, first_shot: int, shots: int, depth: int) -> np.ndarray:
     """(shots, depth) float64 array whose entry [s, k] is the draw of the
     k-th measurement of shot i = first_shot + s, bit for bit:
     SplitMix64(g.next_u64()).next_float() at the k-th call on
     g = SplitMix64(shot_seed(root_seed, i)); x >> 11 fits in a float64."""
-    seeds = _mixed(np.arange(first_shot, first_shot + shots, dtype=np.uint64) ^ (root_seed & _MASK))
-    x = _mixed(_mixed(seeds[:, None] + np.arange(1, depth + 1, dtype=np.uint64) * _GAMMA) + _GAMMA)
+    seeds = mix64(np.arange(first_shot, first_shot + shots, dtype=np.uint64) ^ (root_seed & _MASK))
+    x = mix64(mix64(seeds[:, None] + np.arange(1, depth + 1, dtype=np.uint64) * _GAMMA) + _GAMMA)
     return (x >> 11).astype(np.float64) * 2.0**-53

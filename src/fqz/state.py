@@ -5,15 +5,10 @@ basis order: qubit 0 is the most significant bit of the basis index, so
 for two qubits |xy> sits at index 2x + y. Registers are capped at 12
 qubits (4096 amplitudes); everything is dense.
 
-apply_gate multiplies a gate into the target axes of the state with one
-np.dot, moving the data by one cached permutation of the qubit axes per
-(targets, register size) and the product back to qubit order; the tests
-hold it against a brute-force reference that builds the full 2**n x 2**n
-matrix. circuit's terminal-program prefix composes the same permutations,
-keeps each product's axis order and transposes once.
-measure_qubit, the one definition of p(1), sums branch 1 of a strided
-view, a splitmix64 draw picks a branch, and only that one is kept;
-circuit.run_shots reproduces its bytes.
+apply_gate and measure_qubit are the one definition of a gate step and of
+p(1): circuit's terminal-program engine reproduces their bytes without
+calling them per shot, and the tests hold apply_gate against a brute-force
+reference that builds the full 2**n x 2**n matrix.
 """
 from __future__ import annotations
 
@@ -150,8 +145,7 @@ def measure_qubit(state, target: int, seed: int) -> MeasurementResult:
     with probability 1.0, all-zero states included. The input is not mutated."""
     psi = as_state(state)
     n = psi.size.bit_length() - 1
-    if type(target) is not int or not 0 <= target < n:  # apply_gate's target checks: raise, or name the int
-        target = _cached_layout((target,), n)[0][0]
+    target = _cached_layout((target,), n)[0][0]  # apply_gate's target checks: raise, or name the int
     branches = psi.reshape(1 << target, 2, -1)
     mags = np.abs(branches[:, 1, :])  # a fresh C-ordered array, squared in place
     p_one = float(np.add.reduce(np.square(mags, out=mags).reshape(-1)))

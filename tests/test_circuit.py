@@ -462,7 +462,7 @@ class TestShotEngine:
 
     def test_terminal_programs_run_each_gate_once(self, monkeypatch):
         # every gate run, in apply_gate or in the terminal prefix's fold,
-        # looks up its placement record once
+        # and every measure_qubit call looks up its placement record once
         calls = Counter()
 
         def counted(name, fn):
@@ -480,7 +480,7 @@ class TestShotEngine:
         calls.clear()
         midcircuit = Circuit((*terminal.instructions[:4], Apply("H", ("a",)), Measure("b")))
         fc.run_shots(midcircuit, {}, 3, 500)
-        assert calls == {"_cached_layout": 2 * 500, "apply_gate": 2 * 500, "measure_qubit": 2 * 500}
+        assert calls == {"_cached_layout": 4 * 500, "apply_gate": 2 * 500, "measure_qubit": 2 * 500}
 
 
 class TestLower:

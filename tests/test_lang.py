@@ -248,6 +248,23 @@ class TestPrettyPrint:
             twice = lang.pretty_print(lang.parse_source(once))
             assert once == twice
 
+    @pytest.mark.parametrize(
+        "stmt",
+        [
+            ApplyStmt("CNOT", ("a", "b")),
+            ApplyStmt("H", ("a", "b")),
+            ApplyStmt("R", ("a",)),
+            ApplyStmt("R", ("a",), math.inf),
+            ApplyStmt("H", ("a",), 0.5),
+        ],
+    )
+    def test_a_gate_without_a_statement_form_is_refused(self, stmt):
+        # printing `CNOT a` or `H a` would drop a target or the angle, and
+        # the text would not parse back to the program
+        p = Program((), (AllocStmt("a", "|0>"), AllocStmt("b", "|0>"), stmt))
+        with pytest.raises(ValueError, match=re.escape(f"gate {stmt.gate!r} on targets {stmt.targets!r}")):
+            lang.pretty_print(p)
+
     def test_output_uses_lf_only(self):
         p = lang.parse_source("H x".replace("H x", "qubit x = |0>\r\nH x"))
         assert "\r" not in lang.pretty_print(p)

@@ -120,11 +120,6 @@ class TestPredicates:
         unit = np.linalg.qr(square + np.eye(len(square)))[0]  # unitary up to rounding
         assert linalg.is_unitary_square(unit, tol) is linalg.is_unitary(unit, tol)
 
-    def test_shared_identities_are_read_only(self):
-        for dim, eye in linalg._IDENTITIES.items():
-            assert not eye.flags.writeable
-            assert eye.tobytes() == np.eye(dim, dtype=np.complex128).tobytes()
-
     def test_overflowing_product_is_not_unitary(self):
         # finite entries, but 1e200 squared is inf: not unitary, no exception.
         # numpy warns of the overflow, which the module's pytestmark would

@@ -32,6 +32,17 @@ def test_mix64_stays_in_64_bits():
         assert 0 <= mix64(x) < 2**64
 
 
+def test_mix64_of_an_array_is_the_scalar_mix_entry_by_entry():
+    # uniforms mixes its uint64 arrays through mix64, which must leave them unchanged
+    a = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    a = np.concatenate([a, np.random.default_rng(64).integers(0, 2**64, size=200, dtype=np.uint64)])
+    before = a.copy()
+    mixed = mix64(a)
+    assert mixed.dtype == np.uint64 and mixed.shape == a.shape
+    assert mixed.tolist() == [mix64(int(x)) for x in a]
+    assert a.tobytes() == before.tobytes()
+
+
 def test_shot_seed_is_mix_of_xor():
     assert shot_seed(42, 0) == mix64(42)
     assert shot_seed(42, 7) == mix64(42 ^ 7)
